@@ -1,4 +1,8 @@
-"""Vote retrieval: query the replica set, then combine with spam filtering.
+"""Vote retrieval: look up the replica set, then combine with spam filtering.
+
+The lookup itself queries with get_votes, so the k closest responders have
+returned their sketches by the time it ends; sketches of contacts the
+lookup passed on the way are ignored.
 
 A single replica returning an inflated sketch would dominate a plain
 per-register max, so with three or more replicas the combiner takes the
@@ -24,7 +28,7 @@ class VoteResult:
     positive_count: int
     negative_count: int
     responders: int  # replicas that answered get_votes
-    queried: int  # replicas asked
+    queried: int  # replicas asked; equals responders, as the lookup keeps only those
     filtered: bool  # True when the robust combiner (vs plain merge) ran
 
     @property
@@ -45,10 +49,7 @@ def robust_combine(sketches: list[HllSketch]) -> HllSketch:
     if any(len(s.registers) != length for s in sketches):
         raise ValueError("precision mismatch")
     if len(sketches) < 3:
-        combined = sketches[0]
-        for sketch in sketches[1:]:
-            combined = combined.merge(sketch)
-        return combined.copy()
+        return _union(sketches)
     mid = (len(sketches) - 1) // 2
     registers = bytes(
         sorted(values)[mid] for values in zip(*(s.registers for s in sketches))
@@ -56,7 +57,8 @@ def robust_combine(sketches: list[HllSketch]) -> HllSketch:
     return HllSketch(registers)
 
 
-def _max_combine(sketches: list[HllSketch]) -> HllSketch:
+def _union(sketches: list[HllSketch]) -> HllSketch:
+    """Plain union of the sketches: per-register max."""
     combined = sketches[0]
     for sketch in sketches[1:]:
         combined = combined.merge(sketch)
@@ -71,22 +73,14 @@ def fetch_votes(node: VoteNode, info_hash: bytes, combiner: str = "median") -> V
     """
     if combiner not in ("median", "max"):
         raise ValueError(f"unknown combiner {combiner!r}")
-    key = vote_key(info_hash)
     try:
-        contacts = node.lookup(key)
+        replicas = node.get_votes_lookup(vote_key(info_hash))
     except LookupFailedError:
         return VoteResult(info_hash, 0, 0, 0, 0, False)
 
     positives: list[HllSketch] = []
     negatives: list[HllSketch] = []
-    responders = 0
-    for contact in contacts:
-        reply = node._query_contact(
-            contact, krpc.get_votes_query(node._new_tid(), node.node_id, key)
-        )
-        if reply is None:
-            continue
-        responders += 1
+    for _, reply in replicas:
         try:
             vp, vn = krpc.response_sketches(reply.values)
         except krpc.ProtocolError:
@@ -103,9 +97,9 @@ def fetch_votes(node: VoteNode, info_hash: bytes, combiner: str = "median") -> V
         )
 
     filtered = combiner == "median" and len(positives) >= 3
-    combine = robust_combine if combiner == "median" else _max_combine
+    combine = robust_combine if combiner == "median" else _union
     positive_count = round(combine(positives).estimate()) if positives else 0
     negative_count = round(combine(negatives).estimate()) if negatives else 0
     return VoteResult(
-        info_hash, positive_count, negative_count, responders, len(contacts), filtered
+        info_hash, positive_count, negative_count, len(replicas), len(replicas), filtered
     )

@@ -8,12 +8,22 @@ port.
 
 The two voting methods:
 
-  get_votes      args {id, target};
+  get_votes      args {id, target[, nv]};
                  response {id, token, nodes[, vp, vn]} where vp/vn are the
                  256-byte positive/negative sketches, present only when the
-                 responder actually stores votes for the target.
+                 responder actually stores votes for the target and the
+                 query did not carry ``nv`` = 1 ("no votes", in the style of
+                 BEP 33's noseed flag). Any other ``nv`` value counts as
+                 absent.
   announce_vote  args {id, target, vote (1 or -1), token};
                  response {id}.
+
+Lookups for the voting methods run with get_votes as the lookup query, the
+way BEP 5 runs get_peers: the k closest responders have then already sent
+their token and sketches. An announce sends ``nv`` = 1 on its lookup and
+then announce_vote with each replica's token; a fetch combines the
+sketches of the lookup's k closest responders. A replica that ignores
+``nv`` stays compatible, because the announce path ignores sketches.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ import socket
 from dataclasses import dataclass, field
 
 from . import bencode
+from .routing import ID_LENGTH
 from .sketch import REGISTER_COUNT
 
-ID_LENGTH = 20
 COMPACT_CONTACT_LENGTH = 26
 
 # Mainline error codes
@@ -157,8 +167,13 @@ def find_node_query(tid: bytes, node_id: bytes, target: bytes) -> Query:
     return Query(tid, "find_node", {b"id": node_id, b"target": target})
 
 
-def get_votes_query(tid: bytes, node_id: bytes, target: bytes) -> Query:
-    return Query(tid, "get_votes", {b"id": node_id, b"target": target})
+def get_votes_query(
+    tid: bytes, node_id: bytes, target: bytes, no_votes: bool = False
+) -> Query:
+    args: dict[bytes, object] = {b"id": node_id, b"target": target}
+    if no_votes:
+        args[b"nv"] = 1
+    return Query(tid, "get_votes", args)
 
 
 def announce_vote_query(
@@ -224,8 +239,12 @@ def validate_query_args(query: Query) -> dict[str, object]:
     fields: dict[str, object] = {"id": _require_bytes(args, b"id", ID_LENGTH)}
     if query.method == "ping":
         return fields
-    if query.method == "find_node" or query.method == "get_votes":
+    if query.method == "find_node":
         fields["target"] = _require_bytes(args, b"target", ID_LENGTH)
+        return fields
+    if query.method == "get_votes":
+        fields["target"] = _require_bytes(args, b"target", ID_LENGTH)
+        fields["no_votes"] = args.get(b"nv") == 1
         return fields
     if query.method == "announce_vote":
         fields["target"] = _require_bytes(args, b"target", ID_LENGTH)

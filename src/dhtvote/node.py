@@ -9,7 +9,9 @@ without waiting on wall time.
 
 Incoming votes are always recorded against the observed UDP source IP,
 never anything claimed in the message; the get_votes/announce_vote token
-handshake exists to stop spoofed sources.
+handshake exists to stop spoofed sources. The token rides on the get_votes
+replies of the announce's own lookup, so an announce costs one lookup plus
+one announce_vote per replica.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from typing import Callable, Protocol
 
 from . import krpc
 from .krpc import ProtocolError, Query, Response, ErrorMessage
-from .routing import Contact, LookupFailedError, RoutingTable, iterative_lookup
+from .routing import (
+    ID_LENGTH, Contact, LookupFailedError, QueryFn, RoutingTable, iterative_lookup,
+)
 from .store import Polarity, VoteStore, DEFAULT_MAX_KEYS
 
 log = logging.getLogger(__name__)
@@ -180,14 +184,17 @@ class VoteNode:
         self.transport = transport
         self.clock = clock
         self._rand = rand_bytes
-        self.node_id = node_id if node_id is not None else rand_bytes(20)
-        if len(self.node_id) != 20:
+        self.node_id = node_id if node_id is not None else rand_bytes(ID_LENGTH)
+        if len(self.node_id) != ID_LENGTH:
             raise ValueError("node id must be 20 bytes")
         self.routing = RoutingTable(self.node_id, k=config.k)
         self.store = VoteStore(max_keys=config.max_keys)
         self.tokens = TokenIssuer(clock, rand_bytes)
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
+        # replica id -> token, from the get_votes replies of the running
+        # announce's lookup; read by announce_vote_to
+        self._announce_tokens: dict[bytes, object] = {}
         if self.journal is not None:
             for vote in self.journal.load():
                 self.local_votes[vote.info_hash] = vote
@@ -229,18 +236,23 @@ class VoteNode:
             nodes = krpc.pack_contacts(self.routing.closest(fields["target"]))
             return krpc.find_node_response(query.tid, self.node_id, nodes)
         if query.method == "get_votes":
-            return self._handle_get_votes(query.tid, fields["target"], source)
+            return self._handle_get_votes(
+                query.tid, fields["target"], source, fields["no_votes"]
+            )
         assert query.method == "announce_vote"
         return self._handle_announce_vote(query.tid, fields, source)
 
-    def _handle_get_votes(self, tid: bytes, target: bytes, source: Address) -> Response:
+    def _handle_get_votes(
+        self, tid: bytes, target: bytes, source: Address, no_votes: bool
+    ) -> Response:
         token = self.tokens.issue(source)
         nodes = krpc.pack_contacts(self.routing.closest(target))
         vp = vn = None
-        positive, negative = self.store.aggregate(target, self.clock())
-        if not (positive.is_empty() and negative.is_empty()):
-            vp = positive.to_bytes()
-            vn = negative.to_bytes()
+        if not no_votes:
+            positive, negative = self.store.aggregate(target, self.clock())
+            if not (positive.is_empty() and negative.is_empty()):
+                vp = positive.to_bytes()
+                vn = negative.to_bytes()
         return krpc.get_votes_response(tid, self.node_id, token, nodes, vp, vn)
 
     def _handle_announce_vote(self, tid: bytes, fields: dict, source: Address) -> Response:
@@ -272,21 +284,40 @@ class VoteNode:
         return reply
 
     def _query_contact(self, contact: Contact, query: Query) -> Response | None:
+        """Query one contact; None unless the reply comes from contact.id.
+
+        A reply carrying another id means a different node now holds that
+        address (the old one left): the expected id is dropped from the
+        routing table and the one that answered is inserted instead.
+        """
         reply = self.send_query(contact.address, query)
-        if reply is None:
-            self.routing.note_failure(contact.id)
-        else:
+        responder = reply.values.get(b"id") if reply is not None else None
+        if responder == contact.id:
             self.routing.insert(
                 Contact(contact.id, contact.ip, contact.port, last_seen=self.clock())
             )
-        return reply
+            return reply
+        if (
+            isinstance(responder, bytes)
+            and len(responder) == ID_LENGTH
+            and responder != self.node_id
+        ):
+            self.routing.remove(contact.id)
+            self.routing.insert(
+                Contact(responder, contact.ip, contact.port, last_seen=self.clock())
+            )
+        else:
+            self.routing.note_failure(contact.id)
+        return None
 
     def _find_node_fn(self, contact: Contact, target: bytes) -> list[Contact] | None:
         reply = self._query_contact(
             contact, krpc.find_node_query(self._new_tid(), self.node_id, target)
         )
-        if reply is None:
-            return None
+        return None if reply is None else self._reply_contacts(reply)
+
+    def _reply_contacts(self, reply: Response) -> list[Contact] | None:
+        """The contacts in a find_node/get_votes reply; None if malformed."""
         nodes = reply.values.get(b"nodes")
         if not isinstance(nodes, bytes):
             return None
@@ -301,7 +332,33 @@ class VoteNode:
         ]
 
     def lookup(self, target: bytes) -> list[Contact]:
-        """Iterative lookup of the k closest responsive contacts to target."""
+        """Iterative find_node lookup of the k closest responsive contacts."""
+        return self._lookup(target, self._find_node_fn)
+
+    def get_votes_lookup(
+        self, key: bytes, no_votes: bool = False
+    ) -> list[tuple[Contact, Response]]:
+        """Iterative lookup that queries with get_votes.
+
+        Returns the k closest responders to key, each with its get_votes
+        reply (token, and sketches unless ``no_votes``). Replies of contacts
+        outside the k closest are discarded.
+        """
+        replies: dict[bytes, Response] = {}
+
+        def query(contact: Contact, target: bytes) -> list[Contact] | None:
+            reply = self._query_contact(
+                contact,
+                krpc.get_votes_query(self._new_tid(), self.node_id, target, no_votes),
+            )
+            found = None if reply is None else self._reply_contacts(reply)
+            if found is not None:
+                replies[contact.id] = reply
+            return found
+
+        return [(c, replies[c.id]) for c in self._lookup(key, query)]
+
+    def _lookup(self, target: bytes, query: QueryFn) -> list[Contact]:
         seeds = {c.id: c for c in self.routing.closest(target, self.config.k)}
         if not seeds:
             for address in self.config.bootstrap:
@@ -313,7 +370,7 @@ class VoteNode:
         return iterative_lookup(
             target,
             seeds.values(),
-            self._find_node_fn,
+            query,
             k=self.config.k,
             alpha=self.config.alpha,
         )
@@ -323,7 +380,7 @@ class VoteNode:
         if reply is None:
             return None
         peer_id = reply.values.get(b"id")
-        if not isinstance(peer_id, bytes) or len(peer_id) != 20 or peer_id == self.node_id:
+        if not isinstance(peer_id, bytes) or len(peer_id) != ID_LENGTH or peer_id == self.node_id:
             return None
         contact = Contact(peer_id, address[0], address[1], last_seen=self.clock())
         self.routing.insert(contact)
@@ -342,7 +399,7 @@ class VoteNode:
 
         A vote can be set once per document and is permanent.
         """
-        if len(info_hash) != 20:
+        if len(info_hash) != ID_LENGTH:
             raise ValueError("info-hash must be 20 bytes")
         if info_hash in self.local_votes:
             return "already-voted"
@@ -353,13 +410,11 @@ class VoteNode:
         return "accepted"
 
     def announce_vote_to(self, contact: Contact, key: bytes, vote_value: int) -> bool:
-        """get_votes for a token, then announce_vote; True on success."""
-        reply = self._query_contact(
-            contact, krpc.get_votes_query(self._new_tid(), self.node_id, key)
-        )
-        if reply is None:
-            return False
-        token = reply.values.get(b"token")
+        """announce_vote with the token contact gave the announce lookup.
+
+        True on success; False without a token or on no/error reply.
+        """
+        token = self._announce_tokens.get(contact.id)
         if not isinstance(token, bytes) or not token:
             return False
         reply = self._query_contact(
@@ -379,13 +434,16 @@ class VoteNode:
         for info_hash, vote in self.local_votes.items():
             key = vote_key(info_hash)
             try:
-                contacts = self.lookup(key)
+                replicas = self.get_votes_lookup(key, no_votes=True)
             except LookupFailedError:
                 report[info_hash] = []
                 continue
-            deliveries = []
-            for contact in contacts:
-                ok = self.announce_vote_to(contact, key, vote.polarity.value)
-                deliveries.append((contact, ok))
-            report[info_hash] = deliveries
+            self._announce_tokens = {
+                contact.id: reply.values.get(b"token") for contact, reply in replicas
+            }
+            report[info_hash] = [
+                (contact, self.announce_vote_to(contact, key, vote.polarity.value))
+                for contact, _ in replicas
+            ]
+        self._announce_tokens = {}
         return report

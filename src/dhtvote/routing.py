@@ -111,8 +111,8 @@ class RoutingTable:
         return ranked[:k]
 
 
-# A query function sends find_node(target) to one contact and returns the
-# contacts it reported, or None on timeout/failure.
+# A query function sends find_node(target) or get_votes(target) to one
+# contact and returns the contacts it reported, or None on timeout/failure.
 QueryFn = Callable[[Contact, bytes], "list[Contact] | None"]
 
 

@@ -25,11 +25,10 @@ from dataclasses import asdict, dataclass, field
 from . import krpc
 from .client import fetch_votes
 from .node import NodeConfig, VoteNode
-from .store import Polarity
+from .store import WINDOW_HOURS, Polarity
 
 MALICE_STRATEGIES = ("inflate-registers", "zero-out", "flip-polarity", "silent")
 SIM_PORT = 6881
-WINDOW_HOURS = 24
 
 
 @dataclass

@@ -47,6 +47,13 @@ class UdpTransport:
     def stop(self) -> None:
         self._running = False
         if self._thread is not None:
+            # An empty datagram to ourselves wakes the receive loop at once;
+            # its 0.2 s poll is only the fallback should the wake-up be lost.
+            host, port = self.local_address
+            try:
+                self._sock.sendto(b"", ("127.0.0.1" if host == "0.0.0.0" else host, port))
+            except OSError:
+                pass
             self._thread.join(timeout=2.0)
         self._sock.close()
 

@@ -137,3 +137,37 @@ def test_fetch_with_inflating_minority_stays_honest(small_world):
     finally:
         for peer in replicas[:3]:
             peer.handler = peer.node
+
+
+def test_fetch_ignores_sketches_outside_the_replica_set(small_world):
+    """The lookup passes nodes beyond the k nearest; their sketches must not
+    reach the combiner, even the plain-union one."""
+    from dhtvote.node import vote_key
+    from dhtvote.routing import distance
+
+    info_hash = small_world.documents[1]
+    key = vote_key(info_hash)
+    ranked = sorted(
+        small_world.peers, key=lambda p: (distance(p.node.node_id, key), p.node.node_id)
+    )
+    outside = ranked[8]  # just outside the 8 replicas
+    small_world.set_malicious(outside, "inflate-registers")
+    try:
+        observer = small_world.make_observer()
+        inner = observer.transport
+        get_votes_to = []
+
+        class Recorder:
+            def request(self, address, data, kind):
+                if kind == "get_votes":
+                    get_votes_to.append(address)
+                return inner.request(address, data, kind)
+
+        observer.transport = Recorder()
+        result = fetch_votes(observer, info_hash, combiner="max")
+        assert outside.address in get_votes_to  # the lookup did ask it
+        assert result.responders == 8
+        assert abs(result.positive_count - 12) / 12 <= 0.2
+        assert abs(result.negative_count - 4) / 4 <= 0.25
+    finally:
+        outside.handler = outside.node

@@ -5,6 +5,8 @@ import pytest
 
 from dhtvote import krpc
 from dhtvote.node import Journal, LocalVote, TokenIssuer, compact_address, vote_key
+from dhtvote.routing import Contact, distance
+from dhtvote.sim import ScenarioConfig, SimWorld
 from dhtvote.store import Polarity
 
 from conftest import FakeClock, make_test_node
@@ -162,6 +164,28 @@ def test_unknown_method_yields_204(clock):
     assert isinstance(reply, krpc.ErrorMessage) and reply.code == 204
 
 
+def test_get_votes_with_nv_omits_sketches(clock):
+    node = make_test_node(clock)
+    node.store.record(TARGET, Polarity.POSITIVE, b"\x0a\x00\x00\x01", clock())
+    full = send(node, krpc.get_votes_query(b"g1", SENDER_ID, TARGET))
+    assert b"vp" in full.values and b"vn" in full.values
+    bare = send(node, krpc.get_votes_query(b"g2", SENDER_ID, TARGET, no_votes=True))
+    assert bare.values.keys() == {b"id", b"token", b"nodes"}
+    assert bare.values[b"token"] == full.values[b"token"]
+
+
+@pytest.mark.parametrize("value", [b"1", [1], {b"nv": 1}, 2**70, 0])
+def test_get_votes_with_other_nv_values_acts_as_without(clock, value):
+    node = make_test_node(clock)
+    node.store.record(TARGET, Polarity.POSITIVE, b"\x0a\x00\x00\x01", clock())
+    query = krpc.Query(
+        b"gv", "get_votes", {b"id": SENDER_ID, b"target": TARGET, b"nv": value}
+    )
+    reply = send(node, query)
+    assert isinstance(reply, krpc.Response)
+    assert b"token" in reply.values and b"vp" in reply.values
+
+
 def test_handler_drops_garbage_and_responses(clock):
     node = make_test_node(clock)
     assert node.handle_datagram(b"\xff\x00garbage", SOURCE) is None
@@ -225,3 +249,133 @@ def test_restart_preserves_votes_and_blocks_revote(tmp_path, clock):
 def test_vote_key_is_sha1_of_infohash():
     info_hash = b"e" * 20
     assert vote_key(info_hash) == sha1(info_hash).digest()
+
+
+# ---------------------------------------------------------------------------
+# client side: replies, lookups and announce rounds
+
+
+class StubTransport:
+    def __init__(self, reply):
+        self.reply = reply
+
+    def request(self, address, data, kind):
+        query = krpc.decode_message(data)
+        return krpc.encode_message(krpc.ping_response(query.tid, self.reply))
+
+
+def test_reply_from_another_id_replaces_the_expected_one(clock):
+    node = make_test_node(clock)
+    old, new = b"o" * 20, b"n" * 20
+    contact = Contact(old, "10.0.0.9", 6881)
+    node.routing.insert(contact)
+    node.transport = StubTransport(new)
+    assert node._query_contact(contact, krpc.ping_query(b"pq", node.node_id)) is None
+    assert node.routing.get(old) is None
+    assert node.routing.get(new).address == contact.address
+    node.transport = StubTransport(b"short")
+    fresh = Contact(b"f" * 20, "10.0.0.10", 6881)
+    node.routing.insert(fresh)
+    assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
+    assert node.routing.get(fresh.id).failed_queries == 1
+
+
+def test_lookup_after_churn_returns_no_departed_ids():
+    """A rejoined node keeps its address under a new id; lookups must not
+    keep crediting its replies to the departed id."""
+    world = SimWorld(
+        ScenarioConfig(seed=5, node_count=100, document_count=0,
+                       positive_voters=0, negative_voters=0, churn_rate=0.2)
+    )
+    world.build()
+    world.time = 3600.0
+    world.churn()
+    live = {peer.node.node_id for peer in world.peers}
+    observer = world.make_observer()
+    rng = random.Random(55)
+    departed = 0
+    for _ in range(100):
+        found = observer.lookup(rng.randbytes(20))
+        assert len(found) == 8
+        departed += sum(contact.id not in live for contact in found)
+    assert departed == 0
+
+
+class Recorder:
+    """Transport wrapper that keeps every query sent and its raw reply."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sent = []  # (address, Query, reply bytes or None)
+
+    def request(self, address, data, kind):
+        reply = self.inner.request(address, data, kind)
+        self.sent.append((address, krpc.decode_message(data), reply))
+        return reply
+
+
+def voting_world(seed=7):
+    world = SimWorld(
+        ScenarioConfig(seed=seed, node_count=40, document_count=0,
+                       positive_voters=0, negative_voters=0)
+    )
+    world.build()
+    voter = world.peers[3].node
+    info_hash = b"\x42" * 20
+    voter.cast_vote(info_hash, Polarity.POSITIVE)
+    key = vote_key(info_hash)
+    replicas = sorted(
+        world.peers, key=lambda p: (distance(p.node.node_id, key), p.node.node_id)
+    )[:8]
+    return world, voter, key, replicas
+
+
+def test_announce_round_sends_no_get_votes_outside_its_lookup():
+    world, voter, key, replicas = voting_world()
+    recorder = voter.transport = Recorder(voter.transport)
+    report = voter.announce_round()
+    [deliveries] = report.values()
+    assert {c.address for c, ok in deliveries if ok} == {p.address for p in replicas}
+    methods = [query.method for _, query, _ in recorder.sent]
+    assert set(methods) == {"get_votes", "announce_vote"}
+    last_get_votes = max(i for i, m in enumerate(methods) if m == "get_votes")
+    assert methods.index("announce_vote") > last_get_votes  # one lookup, then announces
+    asked = [address for address, query, _ in recorder.sent if query.method == "get_votes"]
+    assert len(asked) == len(set(asked))  # nobody asked twice
+    for _, query, reply in recorder.sent:
+        if query.method == "get_votes":
+            assert query.args[b"nv"] == 1
+            assert b"vp" not in krpc.decode_message(reply).values
+    for peer in replicas:
+        assert round(peer.node.store.aggregate(key, world.time)[0].estimate()) == 1
+
+
+class IgnoresNv:
+    """A replica that predates the nv argument: it always sends sketches."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def handle_datagram(self, data, source):
+        query = krpc.decode_message(data)
+        if isinstance(query, krpc.Query):
+            query.args.pop(b"nv", None)
+            data = krpc.encode_message(query)
+        return self.node.handle_datagram(data, source)
+
+
+def test_replica_that_ignores_nv_still_receives_the_announce():
+    world, voter, key, replicas = voting_world()
+    legacy = replicas[0]
+    legacy.node.store.record(key, Polarity.POSITIVE, b"\x0b\x00\x00\x01", world.time)
+    legacy.handler = IgnoresNv(legacy.node)
+    recorder = voter.transport = Recorder(voter.transport)
+    [deliveries] = voter.announce_round().values()
+    assert all(ok for _, ok in deliveries) and len(deliveries) == 8
+    legacy_replies = [
+        krpc.decode_message(reply).values
+        for address, query, reply in recorder.sent
+        if address == legacy.address and query.method == "get_votes"
+    ]
+    assert legacy_replies and all(b"vp" in values for values in legacy_replies)
+    assert round(legacy.node.store.aggregate(key, world.time)[0].estimate()) == 2
