@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .node import NodeConfig
+from .routing import ID_LENGTH
 from .sim import ScenarioConfig, run_scenario
 from .store import Polarity
 from .udp import UdpNodeRunner
@@ -33,7 +34,7 @@ def _parse_infohash(text: str) -> bytes:
         raw = bytes.fromhex(text)
     except ValueError:
         raw = b""
-    if len(raw) != 20:
+    if len(raw) != ID_LENGTH:
         raise argparse.ArgumentTypeError("info-hash must be 40 hex characters")
     return raw
 

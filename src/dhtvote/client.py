@@ -5,11 +5,12 @@ returned their sketches by the time it ends; sketches of contacts the
 lookup passed on the way are ignored.
 
 A single replica returning an inflated sketch would dominate a plain
-per-register max, so with three or more replicas the combiner takes the
-per-register lower median instead. Up to floor((n-1)/2) corrupt replicas
-then cannot move the result away from the honest value when the honest
-replicas agree. The trade-off: a replica that is legitimately ahead of its
-peers gets partially discounted until re-announces converge them again.
+union (``HllSketch.union``, the per-register max), so with three or more
+replicas the combiner takes the per-register lower median instead. Up to
+floor((n-1)/2) corrupt replicas then cannot move the result away from the
+honest value when the honest replicas agree. The trade-off: a replica
+that is legitimately ahead of its peers gets partially discounted until
+re-announces converge them again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from . import krpc
 from .node import VoteNode, vote_key
 from .routing import LookupFailedError
-from .sketch import HllSketch
+from .sketch import HllSketch, checked_registers
 
 
 @dataclass
@@ -29,40 +30,22 @@ class VoteResult:
     negative_count: int
     responders: int  # replicas that answered get_votes
     queried: int  # replicas asked; equals responders, as the lookup keeps only those
-    filtered: bool  # True when the robust combiner (vs plain merge) ran
-
-    @property
-    def no_data(self) -> bool:
-        return self.responders == 0
+    filtered: bool  # True when the robust combiner (vs plain union) ran
 
 
 def robust_combine(sketches: list[HllSketch]) -> HllSketch:
     """Combine replica sketches; lower median per register when n >= 3.
 
     With fewer than three replicas a median cannot outvote anything, so
-    the plain union (per-register max) is used instead. Deterministic for
-    any input order.
+    the plain union is used instead. Deterministic for any input order.
     """
     if not sketches:
         raise ValueError("no sketches to combine")
-    length = len(sketches[0].registers)
-    if any(len(s.registers) != length for s in sketches):
-        raise ValueError("precision mismatch")
     if len(sketches) < 3:
-        return _union(sketches)
-    mid = (len(sketches) - 1) // 2
-    registers = bytes(
-        sorted(values)[mid] for values in zip(*(s.registers for s in sketches))
-    )
-    return HllSketch(registers)
-
-
-def _union(sketches: list[HllSketch]) -> HllSketch:
-    """Plain union of the sketches: per-register max."""
-    combined = sketches[0]
-    for sketch in sketches[1:]:
-        combined = combined.merge(sketch)
-    return combined.copy()
+        return HllSketch.union(sketches)
+    registers = checked_registers(sketches)
+    mid = (len(registers) - 1) // 2
+    return HllSketch(bytes(sorted(values)[mid] for values in zip(*registers)))
 
 
 def fetch_votes(node: VoteNode, info_hash: bytes, combiner: str = "median") -> VoteResult:
@@ -97,7 +80,7 @@ def fetch_votes(node: VoteNode, info_hash: bytes, combiner: str = "median") -> V
         )
 
     filtered = combiner == "median" and len(positives) >= 3
-    combine = robust_combine if combiner == "median" else _union
+    combine = robust_combine if combiner == "median" else HllSketch.union
     positive_count = round(combine(positives).estimate()) if positives else 0
     negative_count = round(combine(negatives).estimate()) if negatives else 0
     return VoteResult(

@@ -43,9 +43,6 @@ SERVER_ERROR = 202
 PROTOCOL_ERROR = 203
 METHOD_UNKNOWN = 204
 
-METHODS = ("ping", "find_node", "get_votes", "announce_vote")
-
-
 class ProtocolError(Exception):
     """Invalid message content; maps to a KRPC error reply."""
 

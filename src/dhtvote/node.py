@@ -28,7 +28,7 @@ from typing import Callable, Protocol
 from . import krpc
 from .krpc import ProtocolError, Query, Response, ErrorMessage
 from .routing import (
-    ID_LENGTH, Contact, LookupFailedError, QueryFn, RoutingTable, iterative_lookup,
+    ID_LENGTH, Contact, LookupFailedError, RoutingTable, iterative_lookup,
 )
 from .store import Polarity, VoteStore, DEFAULT_MAX_KEYS
 
@@ -310,12 +310,6 @@ class VoteNode:
             self.routing.note_failure(contact.id)
         return None
 
-    def _find_node_fn(self, contact: Contact, target: bytes) -> list[Contact] | None:
-        reply = self._query_contact(
-            contact, krpc.find_node_query(self._new_tid(), self.node_id, target)
-        )
-        return None if reply is None else self._reply_contacts(reply)
-
     def _reply_contacts(self, reply: Response) -> list[Contact] | None:
         """The contacts in a find_node/get_votes reply; None if malformed."""
         nodes = reply.values.get(b"nodes")
@@ -333,7 +327,10 @@ class VoteNode:
 
     def lookup(self, target: bytes) -> list[Contact]:
         """Iterative find_node lookup of the k closest responsive contacts."""
-        return self._lookup(target, self._find_node_fn)
+        closest = self._lookup(
+            target, lambda tid, t: krpc.find_node_query(tid, self.node_id, t)
+        )
+        return [contact for contact, _ in closest]
 
     def get_votes_lookup(
         self, key: bytes, no_votes: bool = False
@@ -341,24 +338,20 @@ class VoteNode:
         """Iterative lookup that queries with get_votes.
 
         Returns the k closest responders to key, each with its get_votes
-        reply (token, and sketches unless ``no_votes``). Replies of contacts
-        outside the k closest are discarded.
+        reply (token, and sketches unless ``no_votes``).
         """
-        replies: dict[bytes, Response] = {}
+        return self._lookup(
+            key, lambda tid, t: krpc.get_votes_query(tid, self.node_id, t, no_votes)
+        )
 
-        def query(contact: Contact, target: bytes) -> list[Contact] | None:
-            reply = self._query_contact(
-                contact,
-                krpc.get_votes_query(self._new_tid(), self.node_id, target, no_votes),
-            )
-            found = None if reply is None else self._reply_contacts(reply)
-            if found is not None:
-                replies[contact.id] = reply
-            return found
+    def _lookup(
+        self, target: bytes, make_query: Callable[[bytes, bytes], Query]
+    ) -> list[tuple[Contact, Response]]:
+        """The k closest responders to target, each with its reply.
 
-        return [(c, replies[c.id]) for c in self._lookup(key, query)]
-
-    def _lookup(self, target: bytes, query: QueryFn) -> list[Contact]:
+        ``make_query(tid, target)`` builds the query sent to each contact;
+        replies of contacts outside the k closest are discarded.
+        """
         seeds = {c.id: c for c in self.routing.closest(target, self.config.k)}
         if not seeds:
             for address in self.config.bootstrap:
@@ -367,13 +360,19 @@ class VoteNode:
                     seeds.setdefault(probe.id, probe)
         if not seeds:
             raise LookupFailedError("routing table empty and no bootstrap reachable")
-        return iterative_lookup(
-            target,
-            seeds.values(),
-            query,
-            k=self.config.k,
-            alpha=self.config.alpha,
+        replies: dict[bytes, Response] = {}
+
+        def query(contact: Contact, target: bytes) -> list[Contact] | None:
+            reply = self._query_contact(contact, make_query(self._new_tid(), target))
+            found = None if reply is None else self._reply_contacts(reply)
+            if found is not None:
+                replies[contact.id] = reply
+            return found
+
+        closest = iterative_lookup(
+            target, seeds.values(), query, k=self.config.k, alpha=self.config.alpha
         )
+        return [(contact, replies[contact.id]) for contact in closest]
 
     def _ping_address(self, address: Address) -> Contact | None:
         reply = self.send_query(address, krpc.ping_query(self._new_tid(), self.node_id))

@@ -62,8 +62,16 @@ class ScenarioConfig:
             raise ValueError(f"unknown malice strategy {self.malicious_strategy!r}")
         if self.document_count < 0 or self.positive_voters < 0 or self.negative_voters < 0:
             raise ValueError("counts must be non-negative")
-        if not 0 < self.announce_period < 3600:
-            raise ValueError("announce_period must be under one simulated hour")
+        self.node_config()  # checks k, alpha and announce_period
+
+    def node_config(self, bootstrap=()) -> NodeConfig:
+        """The configuration of every simulated node."""
+        return NodeConfig(
+            bootstrap=list(bootstrap),
+            k=self.k,
+            alpha=self.alpha,
+            announce_period=self.announce_period,
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -256,18 +264,10 @@ class SimWorld:
     def _peer_ip(self, index: int) -> str:
         return f"10.{(index >> 16) & 255}.{(index >> 8) & 255}.{index & 255}"
 
-    def _node_config(self, bootstrap) -> NodeConfig:
-        return NodeConfig(
-            bootstrap=list(bootstrap),
-            k=self.config.k,
-            alpha=self.config.alpha,
-            announce_period=self.config.announce_period,
-        )
-
     def _make_node(self, bootstrap, address) -> VoteNode:
         transport = SimTransport(self.network, address)
         return VoteNode(
-            self._node_config(bootstrap),
+            self.config.node_config(bootstrap),
             transport,
             clock=self.clock,
             rand_bytes=self.rand_bytes,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from hashlib import sha1
+from typing import Iterable
 
 PRECISION_BITS = 8
 REGISTER_COUNT = 1 << PRECISION_BITS  # 256
@@ -29,11 +30,19 @@ class MalformedSketchError(ValueError):
     """Serialized sketch has the wrong length or an out-of-range register."""
 
 
+def checked_registers(sketches: Iterable["HllSketch"]) -> list[bytearray]:
+    """The sketches' register arrays; ValueError unless each has 256."""
+    registers = [s.registers for s in sketches]
+    if any(len(r) != REGISTER_COUNT for r in registers):
+        raise ValueError("precision mismatch")
+    return registers
+
+
 class HllSketch:
     """Mergeable distinct-count sketch over byte-string items.
 
-    Value semantics: ``merge`` returns a new sketch, ``add`` mutates in
-    place and only ever grows registers.
+    Value semantics: ``union`` and ``merge`` return a new sketch, ``add``
+    mutates in place and only ever grows registers.
     """
 
     __slots__ = ("registers",)
@@ -78,11 +87,20 @@ class HllSketch:
             return -_TWO_POW_32 * math.log(1.0 - raw / _TWO_POW_32)
         return raw
 
+    @classmethod
+    def union(cls, sketches: Iterable["HllSketch"]) -> "HllSketch":
+        """Union of any number of sketches: one per-register max over all.
+
+        No sketches give the empty sketch, one gives a copy of it.
+        """
+        registers = checked_registers(sketches)
+        if len(registers) < 2:
+            return cls(registers[0] if registers else None)
+        return cls(bytes(map(max, *registers)))
+
     def merge(self, other: "HllSketch") -> "HllSketch":
-        """Union of two sketches: per-register max."""
-        if len(other.registers) != len(self.registers):
-            raise ValueError("precision mismatch")
-        return HllSketch(bytes(map(max, self.registers, other.registers)))
+        """Union of two sketches."""
+        return HllSketch.union((self, other))
 
     def to_bytes(self) -> bytes:
         """256 register bytes in index order; used verbatim on the wire."""
@@ -97,10 +115,6 @@ class HllSketch:
         relies on the robust combiner instead, so a spam replica cannot get
         its whole response discarded while still poisoning a plain merge.
         """
-        if len(data) != REGISTER_COUNT:
-            raise MalformedSketchError(
-                f"expected {REGISTER_COUNT} bytes, got {len(data)}"
-            )
         if validate and any(b > MAX_RANK for b in data):
             raise MalformedSketchError("register value exceeds maximum rank")
         return cls(data)

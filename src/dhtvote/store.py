@@ -3,8 +3,9 @@
 A vote table maps each 20-byte vote key to a 24-slot ring of hourly blocks.
 Each block pairs a positive and a negative sketch; the slot for hour h is
 h mod 24, and writing into a slot whose resident block belongs to an older
-hour resets it first. Reading merges only the blocks from the trailing 24
-hours, so votes that stop being re-announced age out on their own.
+hour resets it first. Reading is one ``HllSketch.union`` per polarity over
+the blocks of the trailing 24 hours, so votes that stop being re-announced
+age out on their own.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from .routing import ID_LENGTH
 from .sketch import HllSketch
 
-KEY_LENGTH = 20
 RING_SLOTS = 24
 WINDOW_HOURS = 24
 DEFAULT_MAX_KEYS = 65_536
@@ -61,8 +62,8 @@ class VoteRing:
 
 
 def _check_key(key: bytes) -> None:
-    if len(key) != KEY_LENGTH:
-        raise ValueError(f"vote key must be {KEY_LENGTH} bytes, got {len(key)}")
+    if len(key) != ID_LENGTH:
+        raise ValueError(f"vote key must be {ID_LENGTH} bytes, got {len(key)}")
 
 
 class VoteStore:
@@ -98,14 +99,12 @@ class VoteStore:
     def aggregate(self, key: bytes, now: float) -> tuple[HllSketch, HllSketch]:
         """Union of the in-window blocks; zeros for an absent key."""
         _check_key(key)
-        positive = HllSketch()
-        negative = HllSketch()
         ring = self._rings.get(key)
-        if ring is not None:
-            for block in ring.in_window(int(now) // 3600):
-                positive = positive.merge(block.positive)
-                negative = negative.merge(block.negative)
-        return positive, negative
+        blocks = ring.in_window(int(now) // 3600) if ring is not None else []
+        return (
+            HllSketch.union(b.positive for b in blocks),
+            HllSketch.union(b.negative for b in blocks),
+        )
 
     def expire(self, now: float) -> int:
         """Drop rings with no in-window block; returns how many were removed."""

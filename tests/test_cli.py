@@ -116,5 +116,7 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"node_count": 1}')
     assert main(["simulate", "--scenario", str(bad)]) == 2
+    bad.write_text('{"k": 0}')
+    assert main(["simulate", "--scenario", str(bad)]) == 2
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()

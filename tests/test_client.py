@@ -38,6 +38,15 @@ def test_combine_rejects_empty_and_mixed():
     short.registers = bytearray(128)  # simulate a foreign precision
     with pytest.raises(ValueError):
         robust_combine([HllSketch(), short, HllSketch()])
+    long = HllSketch()
+    long.registers = bytearray(512)  # longer registers must not be truncated away
+    for mixed in (
+        [HllSketch(), long, HllSketch()],
+        [HllSketch(), short],
+        [long, HllSketch()],
+    ):
+        with pytest.raises(ValueError):
+            robust_combine(mixed)
 
 
 def test_combine_median_vs_adversarial_inflation():

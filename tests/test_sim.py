@@ -22,6 +22,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(malicious_strategy="ddos").validate()
     with pytest.raises(ValueError):
+        ScenarioConfig(k=0).validate()
+    with pytest.raises(ValueError):
+        ScenarioConfig(alpha=0).validate()
+    with pytest.raises(ValueError):
         ScenarioConfig.from_json('{"warp_speed": 9}')
     with pytest.raises(ValueError):
         ScenarioConfig.from_json("[1, 2]")

@@ -145,6 +145,9 @@ def test_merge_algebra(xs, ys, zs):
     assert a.merge(a) == a
     assert a.merge(b) == b.merge(a)
     assert a.merge(HllSketch()) == a
+    assert HllSketch.union([a, b, c]) == a.merge(b).merge(c)
+    assert HllSketch.union([a]) == a
+    assert HllSketch.union([]) == HllSketch()
 
 
 @settings(max_examples=60, deadline=None)

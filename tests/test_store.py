@@ -68,6 +68,19 @@ def test_aggregate_unions_across_hours():
     assert abs(positive.estimate() - 30) / 30 < 0.2
 
 
+def test_aggregate_of_all_24_live_blocks_is_exact():
+    store = VoteStore()
+    exact = {Polarity.POSITIVE: HllSketch(), Polarity.NEGATIVE: HllSketch()}
+    for hour in range(24):
+        for n in range(5):
+            polarity = Polarity.POSITIVE if n < 3 else Polarity.NEGATIVE
+            store.record(KEY, polarity, ip(hour * 5 + n), now=hour * HOUR + n)
+            exact[polarity].add(ip(hour * 5 + n))
+    now = 23 * HOUR + 10
+    assert len(store._rings[KEY].in_window(now // HOUR)) == 24
+    assert store.aggregate(KEY, now) == (exact[Polarity.POSITIVE], exact[Polarity.NEGATIVE])
+
+
 def test_polarity_isolation():
     store = VoteStore()
     store.record(KEY, Polarity.POSITIVE, ip(1), now=0)

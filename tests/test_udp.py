@@ -1,8 +1,18 @@
+import selectors
+import socket
+import threading
 import time
 
-from dhtvote.udp import UdpTransport
+import pytest
+
+from dhtvote import krpc
+from dhtvote.node import NodeConfig
+from dhtvote.routing import Contact
+from dhtvote.store import Polarity
+from dhtvote.udp import UdpNodeRunner, UdpTransport
 
 RECV_POLL_SECONDS = 0.2  # the receive loop's socket timeout
+FAKE_PEERS = 4
 
 
 def test_stop_returns_without_waiting_for_the_receive_poll():
@@ -14,3 +24,87 @@ def test_stop_returns_without_waiting_for_the_receive_poll():
         transport.stop()
         assert time.perf_counter() - started < RECV_POLL_SECONDS / 2
         assert not transport._thread.is_alive()
+
+
+class FakePeers:
+    """Loopback peers that answer every query and list all of themselves.
+
+    With ``ping_first`` a peer sends the querier a ping just before each
+    get_votes reply, from the same socket, so the ping always arrives first:
+    an inbound query lands while the querier's request is waiting.
+    """
+
+    def __init__(self, ping_first: bool):
+        self.ping_first = ping_first
+        self._selector = selectors.DefaultSelector()
+        self.contacts = []
+        for i in range(FAKE_PEERS):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.bind(("127.0.0.1", 0))
+            contact = Contact(bytes([i + 1]) * 20, *sock.getsockname())
+            self.contacts.append(contact)
+            self._selector.register(sock, selectors.EVENT_READ, contact)
+        self._running = True
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        nodes = krpc.pack_contacts(self.contacts)
+        while self._running:
+            for key, _ in self._selector.select(timeout=0.05):
+                sock, peer_id = key.fileobj, key.data.id
+                data, source = sock.recvfrom(2048)
+                query = krpc.decode_message(data)
+                if not isinstance(query, krpc.Query):
+                    continue  # the client's answer to our ping
+                if query.method == "get_votes":
+                    if self.ping_first:
+                        ping = krpc.ping_query(b"pg", peer_id)
+                        sock.sendto(krpc.encode_message(ping), source)
+                    reply = krpc.get_votes_response(query.tid, peer_id, b"token", nodes)
+                elif query.method == "find_node":
+                    reply = krpc.find_node_response(query.tid, peer_id, nodes)
+                else:  # ping and announce_vote both answer {id}
+                    reply = krpc.ping_response(query.tid, peer_id)
+                sock.sendto(krpc.encode_message(reply), source)
+
+    def close(self) -> None:
+        self._running = False
+        self._thread.join(timeout=1.0)
+        assert not self._thread.is_alive()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+
+
+def announce_deliveries(ping_first: bool) -> int:
+    """Deliveries of one announce round of one vote to the fake peers."""
+    peers = FakePeers(ping_first)
+    config = NodeConfig(
+        bind=("127.0.0.1", 0),
+        bootstrap=[peers.contacts[0].address],
+        query_timeout=0.1,
+        query_retries=0,
+    )
+    client = UdpNodeRunner(config)
+    try:
+        client.start()
+        client.cast_vote(b"\x07" * 20, Polarity.POSITIVE)
+        report = client.announce_round()
+    finally:
+        client.stop()
+        peers.close()
+    return sum(ok for sends in report.values() for _, ok in sends)
+
+
+def test_announce_reaches_quiet_peers():
+    assert announce_deliveries(ping_first=False) == FAKE_PEERS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: UdpNodeRunner holds its lock across request waits, "
+    "so the receive thread blocks on the inbound ping and no reply is dispatched",
+)
+def test_announce_survives_inbound_queries():
+    assert announce_deliveries(ping_first=True) == FAKE_PEERS
