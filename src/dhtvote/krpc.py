@@ -29,13 +29,14 @@ sketches of the lookup's k closest responders. A replica that ignores
 from __future__ import annotations
 
 import socket
+import struct
 from dataclasses import dataclass, field
 
 from . import bencode
 from .routing import ID_LENGTH
 from .sketch import REGISTER_COUNT
 
-COMPACT_CONTACT_LENGTH = 26
+_COMPACT_CONTACT = struct.Struct("!20s4sH")  # 26 bytes: id, IPv4, port
 
 # Mainline error codes
 GENERIC_ERROR = 201
@@ -137,19 +138,12 @@ def pack_contacts(contacts) -> bytes:
 
 def unpack_contacts(data: bytes) -> list[tuple[bytes, str, int]]:
     """Compact node bytes -> list of (id, ip, port)."""
-    if len(data) % COMPACT_CONTACT_LENGTH != 0:
+    if len(data) % _COMPACT_CONTACT.size != 0:
         raise ProtocolError("compact node info not a multiple of 26 bytes")
-    out = []
-    for i in range(0, len(data), COMPACT_CONTACT_LENGTH):
-        entry = data[i : i + COMPACT_CONTACT_LENGTH]
-        out.append(
-            (
-                entry[:20],
-                socket.inet_ntoa(entry[20:24]),
-                int.from_bytes(entry[24:26], "big"),
-            )
-        )
-    return out
+    return [
+        (node_id, socket.inet_ntoa(ip), port)
+        for node_id, ip, port in _COMPACT_CONTACT.iter_unpack(data)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ drives both the UDP transport and the in-process simulator.
 
 from __future__ import annotations
 
+import bisect
 import enum
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 ID_BITS = 160
@@ -51,22 +53,19 @@ class RoutingTable:
         self.own_id = own_id
         self.k = k
         self.buckets: list[list[Contact]] = [[] for _ in range(ID_BITS)]
+        self._own_int = int.from_bytes(own_id, "big")
+        self._occupied = 0  # bit i set: buckets[i] holds a contact
 
-    def _bucket_for(self, node_id: bytes) -> list[Contact]:
-        d = distance(self.own_id, node_id)
-        return self.buckets[d.bit_length() - 1]
+    def _bucket_index(self, node_id: bytes) -> int:
+        return (self._own_int ^ int.from_bytes(node_id, "big")).bit_length() - 1
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.buckets)
 
-    def contacts(self) -> Iterable[Contact]:
-        for bucket in self.buckets:
-            yield from bucket
-
     def get(self, node_id: bytes) -> Contact | None:
         if node_id == self.own_id:
             return None
-        for contact in self._bucket_for(node_id):
+        for contact in self.buckets[self._bucket_index(node_id)]:
             if contact.id == node_id:
                 return contact
         return None
@@ -74,7 +73,8 @@ class RoutingTable:
     def insert(self, contact: Contact) -> InsertResult:
         if contact.id == self.own_id:
             raise ValueError("cannot insert own id into routing table")
-        bucket = self._bucket_for(contact.id)
+        index = self._bucket_index(contact.id)
+        bucket = self.buckets[index]
         for i, existing in enumerate(bucket):
             if existing.id == contact.id:
                 existing.ip = contact.ip
@@ -85,6 +85,7 @@ class RoutingTable:
                 return InsertResult.UPDATED
         if len(bucket) < self.k:
             bucket.append(contact)
+            self._occupied |= 1 << index
             return InsertResult.INSERTED
         for i, existing in enumerate(bucket):
             if existing.failed_queries >= 2:
@@ -99,16 +100,43 @@ class RoutingTable:
             contact.failed_queries += 1
 
     def remove(self, node_id: bytes) -> None:
-        bucket = self._bucket_for(node_id)
+        index = self._bucket_index(node_id)
+        bucket = self.buckets[index]
         bucket[:] = [c for c in bucket if c.id != node_id]
+        if not bucket:
+            self._occupied &= ~(1 << index)
 
     def closest(self, target: bytes, k: int | None = None) -> list[Contact]:
-        """The <= k contacts nearest target; ties broken by raw id."""
+        """The <= k contacts nearest target, nearest first; no two tie.
+
+        Bucket i holds the ids whose distance from own_id has its top bit
+        at i. With d = own_id XOR target, every id in bucket i is nearer to
+        target than every id in the lower buckets when bit i of d is set,
+        and farther when it is clear. So the occupied buckets are visited
+        with their bit set from the top down, then with it clear from the
+        bottom up, each sorted on its own, until k contacts are found.
+        """
         k = self.k if k is None else k
         if k < 1:
             raise ValueError("k must be at least 1")
-        ranked = sorted(self.contacts(), key=lambda c: (distance(c.id, target), c.id))
-        return ranked[:k]
+        target_int = int.from_bytes(target, "big")
+
+        def dist(contact: Contact) -> int:
+            return int.from_bytes(contact.id, "big") ^ target_int
+
+        d = self._own_int ^ target_int
+        nearer = self._occupied & d
+        farther = self._occupied & ~d
+        found: list[Contact] = []
+        while nearer and len(found) < k:
+            index = nearer.bit_length() - 1
+            nearer ^= 1 << index
+            found += sorted(self.buckets[index], key=dist)
+        while farther and len(found) < k:
+            lowest = farther & -farther
+            farther ^= lowest
+            found += sorted(self.buckets[lowest.bit_length() - 1], key=dist)
+        return found[:k]
 
 
 # A query function sends find_node(target) or get_votes(target) to one
@@ -128,41 +156,43 @@ def iterative_lookup(
     Keeps querying the closest unqueried candidates until every candidate
     at least as close as the current k-th closest responder has been
     tried, which makes the result exact over the responsive population.
+    Each wave queries the alpha nearest unqueried candidates closer than
+    the k-th responder, both taken at the wave's start. A candidate's
+    distance is computed once, when it first appears: unqueried ones wait
+    in a heap, responders are kept sorted.
     """
-    candidates: dict[bytes, Contact] = {}
-    for seed in seeds:
-        candidates.setdefault(seed.id, seed)
-    if not candidates:
+    target_int = int.from_bytes(target, "big")
+    seen: set[bytes] = set()
+    unqueried: list[tuple[int, Contact]] = []  # heap; distances never tie
+
+    def consider(contacts: Iterable[Contact]) -> None:
+        for contact in contacts:
+            if contact.id not in seen:
+                seen.add(contact.id)
+                d = int.from_bytes(contact.id, "big") ^ target_int
+                heapq.heappush(unqueried, (d, contact))
+
+    consider(seeds)
+    if not unqueried:
         raise LookupFailedError("no contacts to start from")
 
-    queried: set[bytes] = set()
-    responded: set[bytes] = set()
-
-    def dist(contact: Contact) -> tuple[int, bytes]:
-        return (distance(contact.id, target), contact.id)
-
+    responders: list[tuple[int, Contact]] = []  # ascending distance
     while True:
-        responsive = sorted(
-            (candidates[i] for i in responded), key=dist
-        )[:k]
-        threshold = dist(responsive[-1]) if len(responsive) >= k else None
-        frontier = [
-            c
-            for c in candidates.values()
-            if c.id not in queried and (threshold is None or dist(c) < threshold)
-        ]
-        if not frontier:
+        wave = []
+        while (
+            unqueried
+            and len(wave) < alpha
+            and (len(responders) < k or unqueried[0][0] < responders[k - 1][0])
+        ):
+            wave.append(heapq.heappop(unqueried))
+        if not wave:
             break
-        frontier.sort(key=dist)
-        for contact in frontier[:alpha]:
-            queried.add(contact.id)
-            found = query(contact, target)
-            if found is None:
-                continue
-            responded.add(contact.id)
-            for other in found:
-                candidates.setdefault(other.id, other)
+        for entry in wave:
+            found = query(entry[1], target)
+            if found is not None:
+                bisect.insort(responders, entry)
+                consider(found)
 
-    if not responded:
+    if not responders:
         raise LookupFailedError("no contact responded")
-    return sorted((candidates[i] for i in responded), key=dist)[:k]
+    return [contact for _, contact in responders[:k]]

@@ -27,10 +27,6 @@ class Polarity(enum.Enum):
     NEGATIVE = -1
 
 
-class StoreFullError(Exception):
-    """Vote table cannot accept another key and nothing can be evicted."""
-
-
 @dataclass
 class HourBlock:
     hour_epoch: int
@@ -71,7 +67,7 @@ class VoteStore:
 
     def __init__(self, max_keys: int = DEFAULT_MAX_KEYS):
         if max_keys < 1:
-            raise StoreFullError("max_keys must be at least 1")
+            raise ValueError("max_keys must be at least 1")
         self.max_keys = max_keys
         self._rings: OrderedDict[bytes, VoteRing] = OrderedDict()
 

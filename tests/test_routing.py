@@ -3,6 +3,8 @@ import random
 import pytest
 
 from dhtvote.routing import (
+    ID_BITS,
+    ID_LENGTH,
     Contact,
     InsertResult,
     LookupFailedError,
@@ -87,6 +89,33 @@ def test_closest_matches_brute_force():
     expected = sorted(everyone, key=lambda c: (distance(c.id, target), c.id))[:8]
     assert [c.id for c in table.closest(target, 8)] == [c.id for c in expected]
 
+    # Ids that differ from own only in low bits fill the low buckets; a
+    # target at every bucket distance from own, and own itself, starts the
+    # bucket walk in every bucket.
+    own_int = int.from_bytes(own, "big")
+    for bits in range(1, ID_BITS + 1):
+        for _ in range(3):
+            near = contact((own_int ^ rng.getrandbits(bits)).to_bytes(ID_LENGTH, "big"))
+            if near.id != own and table.insert(near) == InsertResult.INSERTED:
+                everyone.append(near)
+    targets = [own] + [
+        (own_int ^ (1 << bit) ^ rng.getrandbits(bit)).to_bytes(ID_LENGTH, "big")
+        for bit in range(ID_BITS)
+    ]
+
+    def check(targets):
+        for target in targets:
+            ranked = sorted(everyone, key=lambda c: (distance(c.id, target), c.id))
+            for k in (1, 8, len(everyone) + 5):
+                assert [c.id for c in table.closest(target, k)] == [c.id for c in ranked[:k]]
+
+    check(targets)
+    # emptied buckets drop out of the walk
+    for gone in rng.sample(everyone, len(everyone) // 2):
+        table.remove(gone.id)
+        everyone.remove(gone)
+    check(targets[::4])
+
 
 class StaticNetwork:
     """Fully meshed toy network for exercising the lookup loop alone."""
@@ -133,6 +162,69 @@ def test_lookup_skips_unresponsive_nodes():
         target = make_id(rng)
         found = iterative_lookup(target, [seed], net.query, k=8, alpha=3)
         assert [c.id for c in found] == net.true_closest(target, responsive_only=True)
+
+
+def reference_lookup(target, seeds, query, k, alpha):
+    """Reference lookup that re-ranks every candidate in every wave."""
+    candidates = {}
+    for seed in seeds:
+        candidates.setdefault(seed.id, seed)
+    queried, responded = set(), set()
+
+    def dist(c):
+        return (distance(c.id, target), c.id)
+
+    while True:
+        responsive = sorted((candidates[i] for i in responded), key=dist)[:k]
+        threshold = dist(responsive[-1]) if len(responsive) >= k else None
+        frontier = sorted(
+            (c for c in candidates.values()
+             if c.id not in queried and (threshold is None or dist(c) < threshold)),
+            key=dist,
+        )
+        if not frontier:
+            break
+        for c in frontier[:alpha]:
+            queried.add(c.id)
+            found = query(c, target)
+            if found is not None:
+                responded.add(c.id)
+                for other in found:
+                    candidates.setdefault(other.id, other)
+    if not responded:
+        raise LookupFailedError("no contact responded")
+    return sorted((candidates[i] for i in responded), key=dist)[:k]
+
+
+def test_lookup_queries_match_reference():
+    """Same queries, in the same order, and the same result as the reference."""
+    rng = random.Random(7)
+    net = StaticNetwork(rng, 150)
+    net.down = set(rng.sample(net.ids, 40))
+    for trial in range(30):
+        target = make_id(rng)
+        seeds = [net.contacts[i] for i in rng.sample(net.ids, 1 + trial % 5)]
+        k, alpha = (8, 3) if trial % 2 else (rng.randrange(1, 10), rng.randrange(1, 5))
+        logs = []
+        results = []
+        for lookup in (iterative_lookup, reference_lookup):
+            log = []
+
+            def query(contact, t):
+                log.append(contact.id)
+                found = net.query(contact, t)
+                # replies may repeat contacts and name unresponsive ones
+                return None if found is None else found + [net.contacts[rng.choice(net.ids)]]
+
+            state = rng.getstate()
+            try:
+                results.append([c.id for c in lookup(target, seeds, query, k=k, alpha=alpha)])
+            except LookupFailedError:
+                results.append(None)
+            rng.setstate(state)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert results[0] == results[1]
 
 
 def test_lookup_fails_without_responders():

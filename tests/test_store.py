@@ -180,3 +180,8 @@ def test_aggregate_matches_event_log_rebuild():
     positive, negative = store.aggregate(KEY, probe)
     assert positive == expect_pos
     assert negative == expect_neg
+
+
+def test_max_keys_must_be_positive():
+    with pytest.raises(ValueError):
+        VoteStore(max_keys=0)
