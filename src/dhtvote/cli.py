@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     parser.add_argument(
-        "--timeout", type=float, default=2.0, help="query timeout in seconds"
+        "--timeout", type=float, default=NodeConfig.query_timeout,
+        help="query timeout in seconds",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -61,8 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bind", type=_parse_endpoint, default=("0.0.0.0", 6881))
     run.add_argument("--state-dir", required=True)
     run.add_argument("--bootstrap", type=_parse_endpoint, nargs="*", default=[])
-    run.add_argument("--k", type=int, default=8)
-    run.add_argument("--announce-period", type=float, default=30.0, metavar="MINUTES")
+    run.add_argument("--k", type=int, default=NodeConfig.k)
+    run.add_argument(
+        "--announce-period", type=float, default=NodeConfig.announce_period / 60.0,
+        metavar="MINUTES",
+    )
 
     vote = commands.add_parser("vote", help="cast and announce one vote")
     vote.add_argument("--state-dir", required=True)
@@ -145,7 +149,6 @@ def _cmd_get(args) -> int:
                     "pos": result.positive_count,
                     "neg": result.negative_count,
                     "responders": result.responders,
-                    "queried": result.queried,
                     "filtered": result.filtered,
                 },
                 sort_keys=True,
@@ -154,7 +157,7 @@ def _cmd_get(args) -> int:
     else:
         print(
             f"pos={result.positive_count} neg={result.negative_count} "
-            f"responders={result.responders}/{result.queried}"
+            f"responders={result.responders}"
         )
     return 0
 

@@ -29,8 +29,7 @@ class VoteResult:
     positive_count: int
     negative_count: int
     responders: int  # replicas that answered get_votes
-    queried: int  # replicas asked; equals responders, as the lookup keeps only those
-    filtered: bool  # True when the robust combiner (vs plain union) ran
+    filtered: bool  # True when three or more replicas went through the median
 
 
 def robust_combine(sketches: list[HllSketch]) -> HllSketch:
@@ -48,18 +47,12 @@ def robust_combine(sketches: list[HllSketch]) -> HllSketch:
     return HllSketch(bytes(sorted(values)[mid] for values in zip(*registers)))
 
 
-def fetch_votes(node: VoteNode, info_hash: bytes, combiner: str = "median") -> VoteResult:
-    """Look up the replica set for info_hash and aggregate its vote counts.
-
-    ``combiner`` is "median" (default, spam-filtered) or "max" (plain
-    union; exists so the filter's effect can be measured).
-    """
-    if combiner not in ("median", "max"):
-        raise ValueError(f"unknown combiner {combiner!r}")
+def fetch_votes(node: VoteNode, info_hash: bytes) -> VoteResult:
+    """Look up the replica set for info_hash and aggregate its vote counts."""
     try:
         replicas = node.get_votes_lookup(vote_key(info_hash))
     except LookupFailedError:
-        return VoteResult(info_hash, 0, 0, 0, 0, False)
+        return VoteResult(info_hash, 0, 0, 0, False)
 
     positives: list[HllSketch] = []
     negatives: list[HllSketch] = []
@@ -79,10 +72,8 @@ def fetch_votes(node: VoteNode, info_hash: bytes, combiner: str = "median") -> V
             HllSketch.from_bytes(vn, validate=False) if vn is not None else HllSketch()
         )
 
-    filtered = combiner == "median" and len(positives) >= 3
-    combine = robust_combine if combiner == "median" else HllSketch.union
-    positive_count = round(combine(positives).estimate()) if positives else 0
-    negative_count = round(combine(negatives).estimate()) if negatives else 0
+    positive_count = round(robust_combine(positives).estimate()) if positives else 0
+    negative_count = round(robust_combine(negatives).estimate()) if negatives else 0
     return VoteResult(
-        info_hash, positive_count, negative_count, len(replicas), len(replicas), filtered
+        info_hash, positive_count, negative_count, len(replicas), len(positives) >= 3
     )

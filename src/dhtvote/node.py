@@ -30,7 +30,7 @@ from .krpc import ProtocolError, Query, Response, ErrorMessage
 from .routing import (
     ID_LENGTH, Contact, LookupFailedError, RoutingTable, iterative_lookup,
 )
-from .store import Polarity, VoteStore, DEFAULT_MAX_KEYS
+from .store import Polarity, VoteStore
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,6 @@ class NodeConfig:
     k: int = 8
     alpha: int = 3
     announce_period: float = 1800.0  # must stay under one ring slot (1 h)
-    max_keys: int = DEFAULT_MAX_KEYS
     query_timeout: float = 2.0
     query_retries: int = 2
 
@@ -185,10 +184,8 @@ class VoteNode:
         self.clock = clock
         self._rand = rand_bytes
         self.node_id = node_id if node_id is not None else rand_bytes(ID_LENGTH)
-        if len(self.node_id) != ID_LENGTH:
-            raise ValueError("node id must be 20 bytes")
-        self.routing = RoutingTable(self.node_id, k=config.k)
-        self.store = VoteStore(max_keys=config.max_keys)
+        self.routing = RoutingTable(self.node_id, k=config.k)  # checks the id length
+        self.store = VoteStore()
         self.tokens = TokenIssuer(clock, rand_bytes)
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
@@ -227,9 +224,7 @@ class VoteNode:
         fields = krpc.validate_query_args(query)
         sender_id = fields["id"]
         if sender_id != self.node_id:
-            self.routing.insert(
-                Contact(sender_id, source[0], source[1], last_seen=self.clock())
-            )
+            self.routing.insert(Contact(sender_id, source[0], source[1]))
         if query.method == "ping":
             return krpc.ping_response(query.tid, self.node_id)
         if query.method == "find_node":
@@ -283,6 +278,13 @@ class VoteNode:
             return None
         return reply
 
+    def _responder_id(self, reply: Response | None) -> bytes | None:
+        """The well-formed id a reply names, unless it is ours; else None."""
+        peer_id = reply.values.get(b"id") if reply is not None else None
+        if isinstance(peer_id, bytes) and len(peer_id) == ID_LENGTH and peer_id != self.node_id:
+            return peer_id
+        return None
+
     def _query_contact(self, contact: Contact, query: Query) -> Response | None:
         """Query one contact; None unless the reply comes from contact.id.
 
@@ -291,21 +293,13 @@ class VoteNode:
         routing table and the one that answered is inserted instead.
         """
         reply = self.send_query(contact.address, query)
-        responder = reply.values.get(b"id") if reply is not None else None
+        responder = self._responder_id(reply)
         if responder == contact.id:
-            self.routing.insert(
-                Contact(contact.id, contact.ip, contact.port, last_seen=self.clock())
-            )
+            self.routing.insert(Contact(contact.id, contact.ip, contact.port))
             return reply
-        if (
-            isinstance(responder, bytes)
-            and len(responder) == ID_LENGTH
-            and responder != self.node_id
-        ):
+        if responder is not None:
             self.routing.remove(contact.id)
-            self.routing.insert(
-                Contact(responder, contact.ip, contact.port, last_seen=self.clock())
-            )
+            self.routing.insert(Contact(responder, contact.ip, contact.port))
         else:
             self.routing.note_failure(contact.id)
         return None
@@ -376,12 +370,10 @@ class VoteNode:
 
     def _ping_address(self, address: Address) -> Contact | None:
         reply = self.send_query(address, krpc.ping_query(self._new_tid(), self.node_id))
-        if reply is None:
+        peer_id = self._responder_id(reply)
+        if peer_id is None:
             return None
-        peer_id = reply.values.get(b"id")
-        if not isinstance(peer_id, bytes) or len(peer_id) != ID_LENGTH or peer_id == self.node_id:
-            return None
-        contact = Contact(peer_id, address[0], address[1], last_seen=self.clock())
+        contact = Contact(peer_id, address[0], address[1])
         self.routing.insert(contact)
         return contact
 

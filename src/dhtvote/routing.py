@@ -7,7 +7,6 @@ drives both the UDP transport and the in-process simulator.
 from __future__ import annotations
 
 import bisect
-import enum
 import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -30,18 +29,11 @@ class Contact:
     id: bytes
     ip: str
     port: int
-    last_seen: float = 0.0
     failed_queries: int = 0
 
     @property
     def address(self) -> tuple[str, int]:
         return (self.ip, self.port)
-
-
-class InsertResult(enum.Enum):
-    INSERTED = "inserted"
-    UPDATED = "updated"
-    PENDING = "bucket-full-pending"
 
 
 class RoutingTable:
@@ -70,7 +62,12 @@ class RoutingTable:
                 return contact
         return None
 
-    def insert(self, contact: Contact) -> InsertResult:
+    def insert(self, contact: Contact) -> None:
+        """Add contact, or refresh it and move it to its bucket's tail.
+
+        A full bucket takes a newcomer only in place of a contact that has
+        failed twice; otherwise the newcomer is dropped.
+        """
         if contact.id == self.own_id:
             raise ValueError("cannot insert own id into routing table")
         index = self._bucket_index(contact.id)
@@ -79,20 +76,18 @@ class RoutingTable:
             if existing.id == contact.id:
                 existing.ip = contact.ip
                 existing.port = contact.port
-                existing.last_seen = max(existing.last_seen, contact.last_seen)
                 existing.failed_queries = 0
                 bucket.append(bucket.pop(i))
-                return InsertResult.UPDATED
+                return
         if len(bucket) < self.k:
             bucket.append(contact)
             self._occupied |= 1 << index
-            return InsertResult.INSERTED
+            return
         for i, existing in enumerate(bucket):
             if existing.failed_queries >= 2:
                 bucket.pop(i)
                 bucket.append(contact)
-                return InsertResult.INSERTED
-        return InsertResult.PENDING
+                return
 
     def note_failure(self, node_id: bytes) -> None:
         contact = self.get(node_id)

@@ -43,9 +43,9 @@ class ScenarioConfig:
     document_count: int = 20
     positive_voters: int = 40
     negative_voters: int = 10
-    k: int = 8
-    alpha: int = 3
-    announce_period: float = 1800.0
+    k: int = NodeConfig.k
+    alpha: int = NodeConfig.alpha
+    announce_period: float = NodeConfig.announce_period
 
     def validate(self) -> None:
         for name in ("churn_rate", "message_loss", "malicious_fraction"):
@@ -116,7 +116,9 @@ class ScenarioReport:
 class VirtualNetwork:
     """Synchronous request/response datagram fabric with loss and tallies."""
 
-    def __init__(self, rng: random.Random, loss: float = 0.0, retries: int = 2):
+    def __init__(
+        self, rng: random.Random, loss: float = 0.0, retries: int = NodeConfig.query_retries
+    ):
         self.rng = rng
         self.loss = loss
         self.retries = retries
@@ -370,7 +372,6 @@ class SimWorld:
                     "true_neg": truth.get((doc, Polarity.NEGATIVE), 0),
                     "est_neg": result.negative_count,
                     "responders": result.responders,
-                    "queried": result.queried,
                 }
             )
         return rows
@@ -396,8 +397,7 @@ def _percentile(values: list[float], fraction: float) -> float:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Run one full scenario: build, announce, churn, probe hourly, report."""
-    config.validate()
-    world = SimWorld(config)
+    world = SimWorld(config)  # validates config
     world.build()
 
     # initial announce seeds the replicas at t=0 (a cast triggers a round)

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 from .routing import ID_LENGTH
 from .sketch import HllSketch
 
-RING_SLOTS = 24
-WINDOW_HOURS = 24
-DEFAULT_MAX_KEYS = 65_536
+WINDOW_HOURS = 24  # also the ring's slot count: one slot per hour of the window
 
 
 class Polarity(enum.Enum):
@@ -40,11 +38,11 @@ class VoteRing:
     __slots__ = ("blocks",)
 
     def __init__(self) -> None:
-        self.blocks: list[HourBlock | None] = [None] * RING_SLOTS
+        self.blocks: list[HourBlock | None] = [None] * WINDOW_HOURS
 
     def block_for(self, hour_epoch: int) -> HourBlock:
         """Return the block for this hour, resetting a stale resident."""
-        slot = hour_epoch % RING_SLOTS
+        slot = hour_epoch % WINDOW_HOURS
         block = self.blocks[slot]
         if block is None or block.hour_epoch != hour_epoch:
             # A slot revisited at the same index is necessarily >= 24 h old.
@@ -65,7 +63,7 @@ def _check_key(key: bytes) -> None:
 class VoteStore:
     """Bounded map from vote key to ring; least-recently-written eviction."""
 
-    def __init__(self, max_keys: int = DEFAULT_MAX_KEYS):
+    def __init__(self, max_keys: int = 65_536):
         if max_keys < 1:
             raise ValueError("max_keys must be at least 1")
         self.max_keys = max_keys

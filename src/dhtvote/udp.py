@@ -23,7 +23,12 @@ _RECV_BUFFER = 2048
 
 
 class UdpTransport:
-    def __init__(self, bind: Address, timeout: float = 2.0, retries: int = 2):
+    def __init__(
+        self,
+        bind: Address,
+        timeout: float = NodeConfig.query_timeout,
+        retries: int = NodeConfig.query_retries,
+    ):
         self.timeout = timeout
         self.retries = retries
         self.handler = None  # set by the runner before start()

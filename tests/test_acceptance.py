@@ -12,9 +12,10 @@ import time
 import pytest
 
 from dhtvote import krpc
+from dhtvote import client
 from dhtvote.client import fetch_votes
 from dhtvote.node import NodeConfig, VoteNode, vote_key
-from dhtvote.routing import Contact, InsertResult, RoutingTable, distance
+from dhtvote.routing import Contact, RoutingTable, distance
 from dhtvote.sim import ScenarioConfig, SimPeer, SimTransport, SimWorld, run_scenario
 from dhtvote.sketch import HllSketch
 from dhtvote.store import Polarity
@@ -119,7 +120,8 @@ def test_04_routing_oracle():
         population = []
         for _ in range(rng.randrange(1, 201)):
             contact = Contact(rng.randbytes(20), "10.0.0.1", 6881)
-            if table.insert(contact) == InsertResult.INSERTED:
+            table.insert(contact)
+            if table.get(contact.id) is contact:
                 population.append(contact)
         target = rng.randbytes(20)
         k = rng.randrange(1, 12)
@@ -257,7 +259,7 @@ def test_08_churn_resilience(no_fault_report):
     )
 
 
-def test_09_spam_filter():
+def test_09_spam_filter(monkeypatch):
     world = SimWorld(
         ScenarioConfig(seed=9, node_count=100, document_count=1,
                        positive_voters=40, negative_voters=10)
@@ -272,8 +274,9 @@ def test_09_spam_filter():
     honest = fetch_votes(world.make_observer(), info_hash)
     for peer in replicas[:3]:
         world.set_malicious(peer, "inflate-registers")
-    filtered = fetch_votes(world.make_observer(), info_hash, combiner="median")
-    unfiltered = fetch_votes(world.make_observer(), info_hash, combiner="max")
+    filtered = fetch_votes(world.make_observer(), info_hash)
+    monkeypatch.setattr(client, "robust_combine", HllSketch.union)
+    unfiltered = fetch_votes(world.make_observer(), info_hash)
 
     def close(a, b):
         return abs(a - b) / max(b, 1) <= SKETCH_ERROR_BOUND

@@ -1,0 +1,78 @@
+"""The benchmark's traced run (``perfbench/run.py --trace 1``) wraps program
+functions by name and calls them with fixed argument lists. Deleting or
+reshaping one of them breaks the benchmark, not the program, so this test
+runs the instrumentation over one announce and one fetch on a small world
+and checks that it undoes itself.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from dhtvote import client, node, routing, sim, sketch, store, udp
+from dhtvote.sim import ScenarioConfig, SimWorld
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# every module and class whose attributes the benchmark replaces
+OWNERS = (
+    client, node, routing, sim, sketch, store, udp,
+    sketch.HllSketch, store.VoteStore, store.VoteRing, routing.RoutingTable,
+    node.VoteNode, sim.VirtualNetwork, udp.UdpTransport,
+)
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import harness
+    import layers
+
+    return harness, layers
+
+
+def attributes():
+    return {(owner, name): value for owner in OWNERS for name, value in vars(owner).items()}
+
+
+def test_benchmark_instrumentation_runs_and_restores(bench_modules):
+    harness, layers = bench_modules
+    world = SimWorld(ScenarioConfig(seed=1, node_count=20, document_count=1,
+                                    positive_voters=5, negative_voters=2))
+    world.build()
+    voter = world.voters[0][0][0]
+    before = attributes()
+    tracer = harness.Tracer()
+    layers.instrument(tracer)
+    try:
+        for owner, name in [
+            (sketch.HllSketch, "merge"),
+            (node.VoteNode, "announce_vote_to"),
+            (udp.UdpTransport, "request"),
+            (store.VoteRing, "in_window"),
+            (routing.RoutingTable, "closest"),
+            (node, "iterative_lookup"),
+            (sim, "fetch_votes"),
+            (udp, "fetch_votes"),
+            (client, "robust_combine"),
+        ]:
+            assert vars(owner)[name] is not before[owner, name], name
+        world.announce(voter)
+        rows = world.probe()
+    finally:
+        tracer.unpatch_all()
+    assert attributes() == before
+    assert sys.modules["dhtvote.client"] is client
+
+    assert rows[0]["responders"] == 8 and rows[0]["est_pos"] + rows[0]["est_neg"] == 1
+    spans = tracer.summary()["spans"]
+    for name in (
+        "node.announce_round", "node.announce_vote_to", "routing.lookup",
+        "routing.closest", "store.record", "store.aggregate", "sim.request",
+        "client.fetch_votes", "client.robust_combine", "krpc.encode_message",
+    ):
+        assert spans[name][0] > 0, name
+    counters = tracer.summary()["counters"]
+    assert counters["routing.queried"] >= counters["routing.answered"] > 0

@@ -47,6 +47,7 @@ def test_vote_then_get(live_network, tmp_path, capsys):
     rc = main(["--timeout", "0.2", "get", "--bootstrap", boot, "--infohash", INFOHASH, "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"infohash", "pos", "neg", "responders", "filtered"}
     assert payload["pos"] == 1
     assert payload["neg"] == 0
     assert payload["responders"] >= 1

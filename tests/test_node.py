@@ -4,12 +4,14 @@ from hashlib import sha1
 import pytest
 
 from dhtvote import krpc
-from dhtvote.node import Journal, LocalVote, TokenIssuer, compact_address, vote_key
+from dhtvote.node import (
+    Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address, vote_key,
+)
 from dhtvote.routing import Contact, distance
 from dhtvote.sim import ScenarioConfig, SimWorld
 from dhtvote.store import Polarity
 
-from conftest import FakeClock, make_test_node
+from conftest import FakeClock, NullTransport, make_test_node
 
 SOURCE = ("198.51.100.7", 40000)
 TARGET = b"T" * 20
@@ -57,6 +59,11 @@ def test_token_expires_after_two_rotations():
 
 def test_compact_address_layout():
     assert compact_address(("1.2.3.4", 0x1234)) == b"\x01\x02\x03\x04\x12\x34"
+
+
+def test_node_id_must_be_20_bytes(clock):
+    with pytest.raises(ValueError, match="20 bytes"):
+        VoteNode(NodeConfig(), NullTransport(), clock=clock, node_id=b"short")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +285,22 @@ def test_reply_from_another_id_replaces_the_expected_one(clock):
     node.routing.insert(fresh)
     assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
     assert node.routing.get(fresh.id).failed_queries == 1
+    node.transport = StubTransport(node.node_id)
+    assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
+    assert node.routing.get(fresh.id).failed_queries == 2
+
+
+def test_ping_address_takes_only_a_well_formed_foreign_id(clock):
+    node = make_test_node(clock)
+    address = ("10.0.0.11", 6881)
+    for bad in (b"short", node.node_id):
+        node.transport = StubTransport(bad)
+        assert node._ping_address(address) is None
+    assert len(node.routing) == 0
+    node.transport = StubTransport(b"p" * 20)
+    probe = node._ping_address(address)
+    assert probe.id == b"p" * 20 and probe.address == address
+    assert node.routing.get(probe.id) is probe
 
 
 def test_lookup_after_churn_returns_no_departed_ids():

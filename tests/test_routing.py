@@ -6,7 +6,6 @@ from dhtvote.routing import (
     ID_BITS,
     ID_LENGTH,
     Contact,
-    InsertResult,
     LookupFailedError,
     RoutingTable,
     distance,
@@ -43,8 +42,10 @@ def test_insert_update_and_pending():
     own = bytes(20)
     table = RoutingTable(own, k=4)
     first = contact(make_id(rng))
-    assert table.insert(first) == InsertResult.INSERTED
-    assert table.insert(contact(first.id)) == InsertResult.UPDATED
+    table.insert(first)
+    assert table.get(first.id) is first
+    table.insert(contact(first.id))
+    assert table.get(first.id) is first  # updated in place
     assert len(table) == 1
     with pytest.raises(ValueError):
         table.insert(contact(own))
@@ -56,12 +57,15 @@ def test_bucket_overflow_keeps_healthy_contacts():
     # ids sharing the top bit pattern land in one bucket
     members = [bytes([0x80]) + bytes(18) + bytes([n]) for n in range(5)]
     for node_id in members[:4]:
-        assert table.insert(contact(node_id)) == InsertResult.INSERTED
-    assert table.insert(contact(members[4])) == InsertResult.PENDING
+        table.insert(contact(node_id))
+        assert table.get(node_id) is not None
+    table.insert(contact(members[4]))
+    assert table.get(members[4]) is None
     assert len(table) == 4
     # a failing contact gets replaced instead
     table.get(members[0]).failed_queries = 2
-    assert table.insert(contact(members[4])) == InsertResult.INSERTED
+    table.insert(contact(members[4]))
+    assert len(table) == 4
     assert table.get(members[0]) is None
     assert table.get(members[4]) is not None
 
@@ -83,7 +87,8 @@ def test_closest_matches_brute_force():
     everyone = []
     for _ in range(50):
         c = contact(make_id(rng))
-        if table.insert(c) == InsertResult.INSERTED:
+        table.insert(c)
+        if table.get(c.id) is c:
             everyone.append(c)
     target = make_id(rng)
     expected = sorted(everyone, key=lambda c: (distance(c.id, target), c.id))[:8]
@@ -96,8 +101,10 @@ def test_closest_matches_brute_force():
     for bits in range(1, ID_BITS + 1):
         for _ in range(3):
             near = contact((own_int ^ rng.getrandbits(bits)).to_bytes(ID_LENGTH, "big"))
-            if near.id != own and table.insert(near) == InsertResult.INSERTED:
-                everyone.append(near)
+            if near.id != own:
+                table.insert(near)
+                if table.get(near.id) is near:
+                    everyone.append(near)
     targets = [own] + [
         (own_int ^ (1 << bit) ^ rng.getrandbits(bit)).to_bytes(ID_LENGTH, "big")
         for bit in range(ID_BITS)
