@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from hashlib import sha1
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from . import krpc
 from .krpc import ProtocolError, Query, Response, ErrorMessage
@@ -166,9 +166,14 @@ def vote_key(info_hash: bytes) -> bytes:
 class VoteNode:
     """Protocol logic for one DHT participant.
 
-    Mutating entry points (handle_datagram, cast_vote, announce_round,
-    bootstrap) must be serialized by the caller; the UDP runner funnels
-    them through one lock, the simulator is single-threaded anyway.
+    The routing table is the only state that the server side
+    (handle_datagram) and the client side (lookups, bootstrap,
+    announce_round, fetch_votes) both touch, and it takes its own lock. The
+    rest (store, token issuer, local votes) must be serialized by the
+    caller: the simulator is single-threaded, and the UDP runner takes one
+    lock around them that it never holds across network I/O. One
+    announce_round may run its votes' tasks concurrently; rounds must not
+    overlap, because they share the announce tokens.
     """
 
     def __init__(
@@ -190,7 +195,7 @@ class VoteNode:
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
         # replica id -> token, from the get_votes replies of the running
-        # announce's lookup; read by announce_vote_to
+        # announce round's lookups; read by announce_vote_to
         self._announce_tokens: dict[bytes, object] = {}
         if self.journal is not None:
             for vote in self.journal.load():
@@ -414,27 +419,42 @@ class VoteNode:
         )
         return reply is not None
 
-    def announce_round(self, now: float | None = None) -> dict[bytes, list[tuple[Contact, bool]]]:
-        """Announce every local vote to the k nodes nearest its key.
+    def announce_round(
+        self,
+        votes: Iterable[LocalVote] | None = None,
+        map_tasks: Callable[..., Iterable] = map,
+    ) -> dict[bytes, list[tuple[Contact, bool]]]:
+        """Announce every local vote, or each of ``votes``, to the k nodes
+        nearest its key.
 
-        Returns, per info-hash, the contacted replicas and whether each
-        announce succeeded; a failed lookup leaves an empty list and the
-        vote is simply retried next round.
+        Each vote is one task: its get_votes lookup, then its announces.
+        ``map_tasks(task, votes)`` runs them and yields their results in
+        order; builtin ``map`` runs them one after another, and an
+        executor's ``map`` runs them concurrently. Returns, per info-hash,
+        the contacted replicas and whether each announce succeeded; a
+        failed lookup leaves an empty list and the vote is simply retried
+        next round.
         """
-        report: dict[bytes, list[tuple[Contact, bool]]] = {}
-        for info_hash, vote in self.local_votes.items():
-            key = vote_key(info_hash)
+
+        def announce(vote: LocalVote) -> tuple[bytes, list[tuple[Contact, bool]]]:
+            key = vote_key(vote.info_hash)
             try:
                 replicas = self.get_votes_lookup(key, no_votes=True)
             except LookupFailedError:
-                report[info_hash] = []
-                continue
-            self._announce_tokens = {
-                contact.id: reply.values.get(b"token") for contact, reply in replicas
-            }
-            report[info_hash] = [
+                return vote.info_hash, []
+            # a token is bound to our address, not to the key, so the tasks
+            # of one round can share this dict
+            self._announce_tokens.update(
+                (contact.id, reply.values.get(b"token")) for contact, reply in replicas
+            )
+            return vote.info_hash, [
                 (contact, self.announce_vote_to(contact, key, vote.polarity.value))
                 for contact, _ in replicas
             ]
-        self._announce_tokens = {}
-        return report
+
+        if votes is None:
+            votes = list(self.local_votes.values())
+        try:
+            return dict(map_tasks(announce, votes))
+        finally:
+            self._announce_tokens.clear()

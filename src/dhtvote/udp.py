@@ -1,8 +1,10 @@
 """Real UDP transport and the long-running node wrapper.
 
 One receive thread demultiplexes the socket: inbound queries go to the
-node's handler (serialized under the node lock), inbound responses are
-matched to waiting requests by (address, transaction id).
+node's handler, inbound responses are matched to waiting requests by
+(address, transaction id). Requests wait on their own threads, and no lock
+is held while they wait, so the receive thread never waits on a lookup.
+An announce round looks up and announces up to ``alpha`` votes at once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import logging
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from . import krpc
 from .client import VoteResult, fetch_votes
@@ -70,6 +73,8 @@ class UdpTransport:
         key = (address, tid)
         waiter = _Waiter()
         with self._lock:
+            if key in self._pending:
+                return None  # its reply could not be told from the other's
             self._pending[key] = waiter
         try:
             for _ in range(self.retries + 1):
@@ -131,9 +136,12 @@ class _Waiter:
 class UdpNodeRunner:
     """A VoteNode bound to a real socket, with periodic maintenance.
 
-    All node-state access (inbound handlers, casts, announce rounds) is
-    serialized through one lock, honoring the node's single-writer
-    contract.
+    ``_lock`` serializes the node state that the receive thread shares
+    with callers: inbound queries, casts, store expiry, and the copy of the
+    local votes an announce round starts from. It is never held across
+    network I/O; bootstrap, lookups and announces take no lock but the
+    routing table's own. ``_round_lock`` keeps announce rounds one at a
+    time; the receive thread never takes it.
     """
 
     def __init__(self, config: NodeConfig, node_id: bytes | None = None):
@@ -142,7 +150,8 @@ class UdpNodeRunner:
             config.bind, timeout=config.query_timeout, retries=config.query_retries
         )
         self.node = VoteNode(config, self.transport, node_id=node_id)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
+        self._round_lock = threading.Lock()
         self.transport.handler = self._handle
         self._stop = threading.Event()
 
@@ -156,8 +165,7 @@ class UdpNodeRunner:
 
     def start(self) -> None:
         self.transport.start()
-        with self._lock:
-            self.node.bootstrap()
+        self.node.bootstrap()
 
     def stop(self) -> None:
         self._stop.set()
@@ -168,12 +176,17 @@ class UdpNodeRunner:
             return self.node.cast_vote(info_hash, polarity)
 
     def announce_round(self):
-        with self._lock:
-            return self.node.announce_round()
+        """One round over the local votes, up to alpha of them at once."""
+        with self._round_lock:
+            with self._lock:
+                votes = list(self.node.local_votes.values())
+            with ThreadPoolExecutor(
+                max_workers=self.config.alpha, thread_name_prefix="dhtvote-announce"
+            ) as pool:
+                return self.node.announce_round(votes, pool.map)
 
     def fetch_votes(self, info_hash: bytes) -> VoteResult:
-        with self._lock:
-            return fetch_votes(self.node, info_hash)
+        return fetch_votes(self.node, info_hash)
 
     def run_forever(self) -> None:
         """Block, announcing every announce_period and expiring hourly."""

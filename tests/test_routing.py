@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -122,6 +125,63 @@ def test_closest_matches_brute_force():
         table.remove(gone.id)
         everyone.remove(gone)
     check(targets[::4])
+
+
+def test_table_stays_consistent_under_concurrent_use():
+    """Four threads insert, refresh, fail, remove and rank for about 1 s."""
+    rng = random.Random(4)
+    own = make_id(rng)
+    table = RoutingTable(own, k=4)
+    # random ids fill the top buckets, so full buckets, evictions and
+    # emptied buckets all occur
+    ids = [make_id(rng) for _ in range(120)]
+    deadline = time.monotonic() + 1.0
+    errors = []
+
+    def worker(seed):
+        wrng = random.Random(seed)
+        try:
+            while time.monotonic() < deadline:
+                node_id = wrng.choice(ids)
+                op = wrng.random()
+                if op < 0.45:
+                    table.insert(Contact(node_id, "10.0.0.1", wrng.randrange(1, 4)))
+                elif op < 0.7:
+                    table.remove(node_id)
+                elif op < 0.85:
+                    table.note_failure(node_id)
+                else:
+                    table.closest(wrng.choice(ids))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+    everyone = [c for bucket in table.buckets for c in bucket]
+    assert len({c.id for c in everyone}) == len(everyone) == len(table)
+    occupied = 0
+    for index, bucket in enumerate(table.buckets):
+        assert len(bucket) <= table.k
+        for c in bucket:
+            assert table._bucket_index(c.id) == index
+            assert table.get(c.id) is c
+        if bucket:
+            occupied |= 1 << index
+    assert table._occupied == occupied
+    for target in ids[:20] + [own]:
+        ranked = sorted(everyone, key=lambda c: distance(c.id, target))
+        assert table.closest(target, 8) == ranked[:8]
 
 
 class StaticNetwork:
