@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dhtvote.sim import (
@@ -93,6 +95,25 @@ def test_same_seed_reproduces_report_byte_for_byte():
     second = run_scenario(ScenarioConfig(**config))
     assert first.to_json() == second.to_json()
     assert first.to_csv() == second.to_csv()
+
+
+def test_report_matches_parent_digest():
+    # Golden values from CPython 3.11.7; a change that claims unchanged
+    # behaviour must leave every byte of the report as it is.
+    report = run_scenario(
+        ScenarioConfig(
+            seed=3, duration_hours=2, churn_rate=0.2, message_loss=0.01,
+            malicious_fraction=0.1, **SMALL,
+        )
+    )
+    assert report.total_datagrams == 8551
+    assert report.total_bytes == 1316062
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "cc39cc23b0ae08206cbc23885ac7b7a755164bff75b7414220b7a4c5607fe12e"
+    )
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
+        "3d9411df2568fd266e0757a3ad6586dc7d389368e230bed3b788bdde908423c3"
+    )
 
 
 def test_different_seed_changes_traffic():
