@@ -50,8 +50,7 @@ def _encode_into(value: BencodeValue, out: bytearray) -> None:
         raise TypeError("bool is not a bencode value")
     elif isinstance(value, int):
         out += b"i%de" % value
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        value = bytes(value)
+    elif isinstance(value, bytes):
         out += b"%d:" % len(value)
         out += value
     elif isinstance(value, list):

@@ -86,29 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_runner(args, state_dir: str | None, bind=("0.0.0.0", 0)) -> UdpNodeRunner:
-    config = NodeConfig(
-        bind=bind,
-        state_dir=state_dir,
-        bootstrap=list(args.bootstrap),
-        query_timeout=args.timeout,
+def _make_runner(args, state_dir: str | None, **config) -> UdpNodeRunner:
+    """A started runner; ``config`` holds NodeConfig fields beyond the shared ones."""
+    runner = UdpNodeRunner(
+        NodeConfig(
+            state_dir=state_dir,
+            bootstrap=list(args.bootstrap),
+            query_timeout=args.timeout,
+            **config,
+        )
     )
-    runner = UdpNodeRunner(config)
     runner.start()
     return runner
 
 
 def _cmd_run(args) -> int:
-    config = NodeConfig(
-        bind=args.bind,
-        state_dir=args.state_dir,
-        bootstrap=list(args.bootstrap),
-        k=args.k,
+    runner = _make_runner(
+        args, args.state_dir, bind=args.bind, k=args.k,
         announce_period=args.announce_period * 60.0,
-        query_timeout=args.timeout,
     )
-    runner = UdpNodeRunner(config)
-    runner.start()
     logging.info("node %s listening on %s:%d",
                  runner.node.node_id.hex()[:8], *runner.local_address)
     try:

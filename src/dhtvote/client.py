@@ -11,6 +11,10 @@ floor((n-1)/2) corrupt replicas then cannot move the result away from the
 honest value when the honest replicas agree. The trade-off: a replica
 that is legitimately ahead of its peers gets partially discounted until
 re-announces converge them again.
+
+Replica sketches are parsed leniently, with ``HllSketch(data)`` rather than
+the strict ``HllSketch.from_bytes``: only their length is checked, and
+registers above the maximum rank go on to the combiner.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .sketch import HllSketch, checked_registers
 
 @dataclass
 class VoteResult:
-    info_hash: bytes
     positive_count: int
     negative_count: int
     responders: int  # replicas that answered get_votes
@@ -52,7 +55,7 @@ def fetch_votes(node: VoteNode, info_hash: bytes) -> VoteResult:
     try:
         replicas = node.get_votes_lookup(vote_key(info_hash))
     except LookupFailedError:
-        return VoteResult(info_hash, 0, 0, 0, False)
+        return VoteResult(0, 0, 0, False)
 
     positives: list[HllSketch] = []
     negatives: list[HllSketch] = []
@@ -63,17 +66,11 @@ def fetch_votes(node: VoteNode, info_hash: bytes) -> VoteResult:
             continue
         if vp is None and vn is None:
             continue  # replica holds nothing for this key
-        # Lenient parse: out-of-range registers are the combiner's problem,
-        # rejecting them here would let a spam replica mute itself selectively.
-        positives.append(
-            HllSketch.from_bytes(vp, validate=False) if vp is not None else HllSketch()
-        )
-        negatives.append(
-            HllSketch.from_bytes(vn, validate=False) if vn is not None else HllSketch()
-        )
+        # Lenient parse: rejecting out-of-range registers here would let a
+        # spam replica mute itself selectively. None gives the empty sketch.
+        positives.append(HllSketch(vp))
+        negatives.append(HllSketch(vn))
 
     positive_count = round(robust_combine(positives).estimate()) if positives else 0
     negative_count = round(robust_combine(negatives).estimate()) if negatives else 0
-    return VoteResult(
-        info_hash, positive_count, negative_count, len(replicas), len(positives) >= 3
-    )
+    return VoteResult(positive_count, negative_count, len(replicas), len(positives) >= 3)

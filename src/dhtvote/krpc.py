@@ -39,7 +39,6 @@ from .sketch import REGISTER_COUNT
 _COMPACT_CONTACT = struct.Struct("!20s4sH")  # 26 bytes: id, IPv4, port
 
 # Mainline error codes
-GENERIC_ERROR = 201
 SERVER_ERROR = 202
 PROTOCOL_ERROR = 203
 METHOD_UNKNOWN = 204
@@ -128,12 +127,8 @@ def decode_message(data: bytes) -> KrpcMessage:
 
 def pack_contacts(contacts) -> bytes:
     """Contacts -> concatenated 26-byte compact entries."""
-    out = bytearray()
-    for c in contacts:
-        out += c.id
-        out += socket.inet_aton(c.ip)
-        out += c.port.to_bytes(2, "big")
-    return bytes(out)
+    pack = _COMPACT_CONTACT.pack
+    return b"".join(pack(c.id, socket.inet_aton(c.ip), c.port) for c in contacts)
 
 
 def unpack_contacts(data: bytes) -> list[tuple[bytes, str, int]]:

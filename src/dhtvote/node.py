@@ -17,6 +17,7 @@ one announce_vote per replica.
 from __future__ import annotations
 
 import logging
+import os
 import secrets
 import socket
 import time
@@ -57,8 +58,9 @@ class NodeConfig:
     query_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.alpha < 1:
-            raise ValueError("k and alpha must be at least 1")
+        for value in (self.k, self.alpha):
+            if type(value) is not int or value < 1:  # bool is not a count
+                raise ValueError("k and alpha must be integers of at least 1")
         if not 0 < self.announce_period < 3600:
             raise ValueError("announce_period must be under one hour")
 
@@ -122,6 +124,10 @@ class Journal:
         line = f"{vote.info_hash.hex()},{sign},{vote.created_at}\n"
         with open(self.path, "a", encoding="ascii") as fh:
             fh.write(line)
+            # a vote is permanent: it must survive a crash right after the
+            # caller reports it cast, or the user could vote again
+            fh.flush()
+            os.fsync(fh.fileno())
 
     def load(self) -> list[LocalVote]:
         if not self.path.exists():
@@ -258,10 +264,8 @@ class VoteNode:
     def _handle_announce_vote(self, tid: bytes, fields: dict, source: Address) -> Response:
         if not self.tokens.valid(fields["token"], source):
             raise ProtocolError("invalid or expired token")
-        polarity = Polarity.POSITIVE if fields["vote"] == 1 else Polarity.NEGATIVE
-        self.store.record(
-            fields["target"], polarity, socket.inet_aton(source[0]), self.clock()
-        )
+        polarity = Polarity(fields["vote"])  # validate_query_args admits only 1 and -1
+        self.store.record(fields["target"], polarity, socket.inet_aton(source[0]), self.clock())
         return krpc.announce_vote_response(tid, self.node_id)
 
     # ------------------------------------------------------------------
@@ -351,12 +355,12 @@ class VoteNode:
         ``make_query(tid, target)`` builds the query sent to each contact;
         replies of contacts outside the k closest are discarded.
         """
-        seeds = {c.id: c for c in self.routing.closest(target, self.config.k)}
+        seeds = self.routing.closest(target, self.config.k)
         if not seeds:
             for address in self.config.bootstrap:
                 probe = self._ping_address(address)
                 if probe is not None:
-                    seeds.setdefault(probe.id, probe)
+                    seeds.append(probe)
         if not seeds:
             raise LookupFailedError("routing table empty and no bootstrap reachable")
         replies: dict[bytes, Response] = {}
@@ -369,7 +373,7 @@ class VoteNode:
             return found
 
         closest = iterative_lookup(
-            target, seeds.values(), query, k=self.config.k, alpha=self.config.alpha
+            target, seeds, query, k=self.config.k, alpha=self.config.alpha
         )
         return [(contact, replies[contact.id]) for contact in closest]
 
@@ -390,7 +394,7 @@ class VoteNode:
             pass
         return len(self.routing)
 
-    def cast_vote(self, info_hash: bytes, polarity: Polarity, now: float | None = None) -> str:
+    def cast_vote(self, info_hash: bytes, polarity: Polarity) -> str:
         """Register this user's own vote; 'accepted' or 'already-voted'.
 
         A vote can be set once per document and is permanent.
@@ -399,7 +403,7 @@ class VoteNode:
             raise ValueError("info-hash must be 20 bytes")
         if info_hash in self.local_votes:
             return "already-voted"
-        vote = LocalVote(info_hash, polarity, int(self.clock() if now is None else now))
+        vote = LocalVote(info_hash, polarity, int(self.clock()))
         if self.journal is not None:
             self.journal.append(vote)
         self.local_votes[info_hash] = vote

@@ -15,7 +15,6 @@ state and must re-bootstrap, which is what actually stresses replication.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import json
 import random
@@ -25,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from . import krpc
 from .client import fetch_votes
 from .node import NodeConfig, VoteNode
+from .sketch import REGISTER_COUNT
 from .store import WINDOW_HOURS, Polarity
 
 MALICE_STRATEGIES = ("inflate-registers", "zero-out", "flip-polarity", "silent")
@@ -50,8 +50,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         for name in ("churn_rate", "message_loss", "malicious_fraction"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if isinstance(value, bool) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name in ("seed", "node_count", "duration_hours", "document_count",
+                     "positive_voters", "negative_voters"):
+            value = getattr(self, name)
+            if type(value) is not int:  # not a bool, a float or None
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.node_count < 2:
             raise ValueError("need at least 2 nodes")
         if self.duration_hours < 1:
@@ -62,6 +67,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown malice strategy {self.malicious_strategy!r}")
         if self.document_count < 0 or self.positive_voters < 0 or self.negative_voters < 0:
             raise ValueError("counts must be non-negative")
+        if self.announce_period < 2:  # the schedule draws offsets in [1, period)
+            raise ValueError("announce_period must be at least 2 seconds")
         self.node_config()  # checks k, alpha and announce_period
 
     def node_config(self, bootstrap=()) -> NodeConfig:
@@ -103,25 +110,19 @@ class ScenarioReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["doc", "true_pos", "est_pos", "true_neg", "est_neg", "responders"])
-        for row in self.rows:
-            writer.writerow(
-                [row["doc"], row["true_pos"], row["est_pos"],
-                 row["true_neg"], row["est_neg"], row["responders"]]
-            )
+        columns = ["doc", "true_pos", "est_pos", "true_neg", "est_neg", "responders"]
+        writer = csv.DictWriter(out, columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(self.rows)
         return out.getvalue()
 
 
 class VirtualNetwork:
     """Synchronous request/response datagram fabric with loss and tallies."""
 
-    def __init__(
-        self, rng: random.Random, loss: float = 0.0, retries: int = NodeConfig.query_retries
-    ):
+    def __init__(self, rng: random.Random, loss: float = 0.0):
         self.rng = rng
         self.loss = loss
-        self.retries = retries
         self.peers: dict[tuple[str, int], object] = {}  # addr -> peer
         self.datagrams: dict[str, int] = {}
         self.bytes_by_kind: dict[str, int] = {}
@@ -144,7 +145,7 @@ class VirtualNetwork:
         peer = self.peers.get(dest)
         if peer is None:
             return None
-        for _ in range(self.retries + 1):
+        for _ in range(NodeConfig.query_retries + 1):
             if self._lost():
                 continue
             self._count(f"{kind}:query", len(data))
@@ -193,8 +194,8 @@ class MaliciousPeer:
             return reply
         values = response.values
         if self.strategy == "inflate-registers":
-            values[b"vp"] = b"\xff" * 256
-            values[b"vn"] = b"\xff" * 256
+            values[b"vp"] = b"\xff" * REGISTER_COUNT
+            values[b"vn"] = b"\xff" * REGISTER_COUNT
         elif self.strategy == "zero-out":
             values.pop(b"vp", None)
             values.pop(b"vn", None)
@@ -409,25 +410,23 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     # hour, probes one second before each hour boundary
     horizon = config.duration_hours * 3600
     offsets = [world.rng.randrange(1, int(config.announce_period)) for _ in world.peers]
-    heap: list[tuple[float, int, str, int]] = []
+    events: list[tuple[float, int, str, int]] = []
     seq = 0
     for index, offset in enumerate(offsets):
         t = float(offset)
         while t < horizon:
-            heap.append((t, seq, "announce", index))
+            events.append((t, seq, "announce", index))
             seq += 1
             t += config.announce_period
     for hour in range(1, config.duration_hours + 1):
         if config.churn_rate > 0 and hour < config.duration_hours:
-            heap.append((hour * 3600.0, seq, "churn", 0))
+            events.append((hour * 3600.0, seq, "churn", 0))
             seq += 1
-        heap.append((hour * 3600.0 - 1.0, seq, "probe", 0))
+        events.append((hour * 3600.0 - 1.0, seq, "probe", 0))
         seq += 1
-    heapq.heapify(heap)
 
     rows: list[dict] = []
-    while heap:
-        when, _, action, index = heapq.heappop(heap)
+    for when, _, action, index in sorted(events):
         world.time = when
         if action == "announce":
             if world.peers[index].node.local_votes:

@@ -107,15 +107,15 @@ class HllSketch:
         return bytes(self.registers)
 
     @classmethod
-    def from_bytes(cls, data: bytes, validate: bool = True) -> "HllSketch":
-        """Inverse of :meth:`to_bytes`.
+    def from_bytes(cls, data: bytes) -> "HllSketch":
+        """Inverse of :meth:`to_bytes`; rejects any register above MAX_RANK.
 
-        With ``validate`` (the default) any register above MAX_RANK is
-        rejected. The client's replica-fetch path disables validation and
-        relies on the robust combiner instead, so a spam replica cannot get
-        its whole response discarded while still poisoning a plain merge.
+        The client's replica-fetch path builds ``HllSketch(data)`` instead,
+        which checks only the length, and relies on the robust combiner, so
+        a spam replica cannot get its whole response discarded while still
+        poisoning a plain merge.
         """
-        if validate and any(b > MAX_RANK for b in data):
+        if any(b > MAX_RANK for b in data):
             raise MalformedSketchError("register value exceeds maximum rank")
         return cls(data)
 

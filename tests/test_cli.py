@@ -119,5 +119,12 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(bad)]) == 2
     bad.write_text('{"k": 0}')
     assert main(["simulate", "--scenario", str(bad)]) == 2
+    for text in (
+        '{"node_count": 20.5}', '{"duration_hours": 1.5}', '{"k": 8.5}',
+        '{"announce_period": 1.5}', '{"document_count": true}',
+    ):
+        bad.write_text(text)
+        assert main(["simulate", "--scenario", str(bad)]) == 2
+        assert "bad scenario" in capsys.readouterr().err
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()

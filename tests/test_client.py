@@ -53,7 +53,7 @@ def test_combine_rejects_empty_and_mixed():
 def test_combine_median_vs_adversarial_inflation():
     rng = random.Random(2)
     honest = [random_sketch(rng) for _ in range(5)]
-    evil = [HllSketch.from_bytes(b"\xff" * 256, validate=False) for _ in range(2)]
+    evil = [HllSketch(b"\xff" * 256) for _ in range(2)]
     combined = robust_combine(honest + evil)
     expected = bytes(
         sorted(values)[(7 - 1) // 2]
@@ -84,7 +84,7 @@ def test_breakdown_bound_exact_when_honest_agree():
         for corrupt_value in (b"\xff", b"\x00"):
             replicas = [honest.copy() for _ in range(n - bad)]
             replicas += [
-                HllSketch.from_bytes(corrupt_value * 256, validate=False)
+                HllSketch(corrupt_value * 256)
                 for _ in range(bad)
             ]
             rng.shuffle(replicas)

@@ -1,3 +1,4 @@
+import os
 import random
 from hashlib import sha1
 
@@ -225,6 +226,20 @@ def test_journal_round_trip(tmp_path):
     lines = (tmp_path / "votes.log").read_text().splitlines()
     assert lines[0] == f"{'61' * 20},+1,1700000000"
     assert Journal(tmp_path).load() == votes
+
+
+def test_journal_append_is_durable(tmp_path, monkeypatch):
+    journal = Journal(tmp_path)
+    synced = []
+
+    def fsync(fd):
+        # the line must already have left the file object's buffer
+        synced.append(len(journal.path.read_text().splitlines()))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    journal.append(LocalVote(b"a" * 20, Polarity.POSITIVE, 1700000000))
+    journal.append(LocalVote(b"b" * 20, Polarity.NEGATIVE, 1700000001))
+    assert synced == [1, 2]
 
 
 def test_journal_first_record_wins_and_bad_lines_skipped(tmp_path):

@@ -27,6 +27,16 @@ def test_config_validation():
         ScenarioConfig(k=0).validate()
     with pytest.raises(ValueError):
         ScenarioConfig(alpha=0).validate()
+    # a seed, count, k, alpha or rate of the wrong type, and a period too
+    # short for the schedule's offsets, are rejected before the run
+    for bad in (
+        dict(node_count=20.5), dict(duration_hours=1.5), dict(document_count=True),
+        dict(positive_voters=4.0), dict(negative_voters=False), dict(k=8.5),
+        dict(alpha=True), dict(announce_period=1.5), dict(churn_rate=True),
+        dict(seed=None), dict(seed=1.5),
+    ):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**bad).validate()
     with pytest.raises(ValueError):
         ScenarioConfig.from_json('{"warp_speed": 9}')
     with pytest.raises(ValueError):

@@ -124,7 +124,7 @@ def test_serialize_round_trip_and_errors():
     with pytest.raises(MalformedSketchError):
         HllSketch.from_bytes(b"\x00" * 255 + b"\x34")  # register 52 > 33
     # lenient mode admits oversized registers (client replica path)
-    lenient = HllSketch.from_bytes(b"\xff" * 256, validate=False)
+    lenient = HllSketch(b"\xff" * 256)
     assert lenient.estimate() > 1e6
 
 
