@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bind", type=_parse_endpoint, default=("0.0.0.0", 6881))
     run.add_argument("--state-dir", required=True)
     run.add_argument("--bootstrap", type=_parse_endpoint, nargs="*", default=[])
-    run.add_argument("--k", type=int, default=NodeConfig.k)
     run.add_argument(
         "--announce-period", type=float, default=NodeConfig.announce_period / 60.0,
         metavar="MINUTES",
@@ -102,8 +101,7 @@ def _make_runner(args, state_dir: str | None, **config) -> UdpNodeRunner:
 
 def _cmd_run(args) -> int:
     runner = _make_runner(
-        args, args.state_dir, bind=args.bind, k=args.k,
-        announce_period=args.announce_period * 60.0,
+        args, args.state_dir, bind=args.bind, announce_period=args.announce_period * 60.0,
     )
     logging.info("node %s listening on %s:%d",
                  runner.node.node_id.hex()[:8], *runner.local_address)

@@ -12,9 +12,9 @@ honest value when the honest replicas agree. The trade-off: a replica
 that is legitimately ahead of its peers gets partially discounted until
 re-announces converge them again.
 
-Replica sketches are parsed leniently, with ``HllSketch(data)`` rather than
-the strict ``HllSketch.from_bytes``: only their length is checked, and
-registers above the maximum rank go on to the combiner.
+Replica sketches are parsed leniently, with ``HllSketch(data)``: only their
+length is checked, and registers above the maximum rank go on to the
+combiner.
 """
 
 from __future__ import annotations

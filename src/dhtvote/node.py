@@ -120,8 +120,7 @@ class Journal:
         self.path = directory / JOURNAL_FILENAME
 
     def append(self, vote: LocalVote) -> None:
-        sign = "+1" if vote.polarity is Polarity.POSITIVE else "-1"
-        line = f"{vote.info_hash.hex()},{sign},{vote.created_at}\n"
+        line = f"{vote.info_hash.hex()},{vote.polarity.value:+d},{vote.created_at}\n"
         with open(self.path, "a", encoding="ascii") as fh:
             fh.write(line)
             # a vote is permanent: it must survive a crash right after the
@@ -160,8 +159,9 @@ class Journal:
             info_hash = bytes.fromhex(hex_hash)
         except ValueError:
             return None
-        polarity = Polarity.POSITIVE if sign == "+1" else Polarity.NEGATIVE
-        return LocalVote(info_hash, polarity, int(stamp))
+        if len(info_hash) != ID_LENGTH:  # fromhex skips whitespace
+            return None
+        return LocalVote(info_hash, Polarity(int(sign)), int(stamp))
 
 
 def vote_key(info_hash: bytes) -> bytes:
@@ -355,7 +355,7 @@ class VoteNode:
         ``make_query(tid, target)`` builds the query sent to each contact;
         replies of contacts outside the k closest are discarded.
         """
-        seeds = self.routing.closest(target, self.config.k)
+        seeds = self.routing.closest(target)
         if not seeds:
             for address in self.config.bootstrap:
                 probe = self._ping_address(address)

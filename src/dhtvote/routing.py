@@ -44,7 +44,7 @@ class RoutingTable:
     does no I/O while it holds it.
     """
 
-    def __init__(self, own_id: bytes, k: int = 8):
+    def __init__(self, own_id: bytes, k: int):
         if len(own_id) != ID_LENGTH:
             raise ValueError("node id must be 20 bytes")
         self.own_id = own_id
@@ -170,8 +170,8 @@ def iterative_lookup(
     target: bytes,
     seeds: Iterable[Contact],
     query: QueryFn,
-    k: int = 8,
-    alpha: int = 3,
+    k: int,
+    alpha: int,
 ) -> list[Contact]:
     """Iteratively converge on the k closest responsive contacts to target.
 

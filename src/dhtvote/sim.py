@@ -123,7 +123,8 @@ class VirtualNetwork:
     def __init__(self, rng: random.Random, loss: float = 0.0):
         self.rng = rng
         self.loss = loss
-        self.peers: dict[tuple[str, int], object] = {}  # addr -> peer
+        # addr -> datagram handler: a VoteNode, or the MaliciousPeer over one
+        self.peers: dict[tuple[str, int], object] = {}
         self.datagrams: dict[str, int] = {}
         self.bytes_by_kind: dict[str, int] = {}
         # independent cross-check, bumped once per delivered datagram
@@ -142,14 +143,14 @@ class VirtualNetwork:
     def request(
         self, source: tuple[str, int], dest: tuple[str, int], data: bytes, kind: str
     ) -> bytes | None:
-        peer = self.peers.get(dest)
-        if peer is None:
+        handler = self.peers.get(dest)
+        if handler is None:
             return None
         for _ in range(NodeConfig.query_retries + 1):
             if self._lost():
                 continue
             self._count(f"{kind}:query", len(data))
-            reply = peer.handle_datagram(data, source)
+            reply = handler.handle_datagram(data, source)
             if reply is None:
                 continue  # silent peer; retry like a timeout
             if self._lost():
@@ -181,13 +182,8 @@ class MaliciousPeer:
         if self.strategy == "silent":
             return None
         reply = self.node.handle_datagram(data, source)
-        if reply is None:
-            return None
-        try:
-            query = krpc.decode_message(data)
-        except Exception:
-            return reply
-        if not isinstance(query, krpc.Query) or query.method != "get_votes":
+        # the node replies only to a query it could decode
+        if reply is None or krpc.decode_message(data).method != "get_votes":
             return reply
         response = krpc.decode_message(reply)
         if not isinstance(response, krpc.Response):
@@ -209,16 +205,12 @@ class MaliciousPeer:
 
 
 class SimPeer:
-    __slots__ = ("index", "address", "node", "handler")
+    __slots__ = ("index", "address", "node")
 
-    def __init__(self, index: int, address, node: VoteNode, handler=None):
+    def __init__(self, index: int, address, node: VoteNode):
         self.index = index
         self.address = address
         self.node = node
-        self.handler = handler if handler is not None else node
-
-    def handle_datagram(self, data, source):
-        return self.handler.handle_datagram(data, source)
 
 
 @dataclass
@@ -284,7 +276,7 @@ class SimWorld:
             node = self._make_node(bootstrap, address)
             peer = SimPeer(index, address, node)
             self.peers.append(peer)
-            self.network.peers[address] = peer
+            self.network.peers[address] = node
             node.bootstrap()
         # second pass so early joiners learn about late neighbors
         for peer in self.peers:
@@ -298,7 +290,7 @@ class SimWorld:
             self.set_malicious(peer, self.config.malicious_strategy)
 
     def set_malicious(self, peer: SimPeer, strategy: str) -> None:
-        peer.handler = MaliciousPeer(peer.node, strategy)
+        self.network.peers[peer.address] = MaliciousPeer(peer.node, strategy)
 
     def _assign_votes(self) -> None:
         for doc in range(self.config.document_count):
@@ -344,7 +336,7 @@ class SimWorld:
         node.local_votes = votes
         peer = SimPeer(index, old.address, node)
         self.peers[index] = peer
-        self.network.peers[old.address] = peer
+        self.network.peers[old.address] = node
         node.bootstrap()
         return peer
 

@@ -27,7 +27,7 @@ _INV_POW2 = tuple(2.0 ** -r for r in range(256))
 
 
 class MalformedSketchError(ValueError):
-    """Serialized sketch has the wrong length or an out-of-range register."""
+    """Serialized sketch does not hold exactly 256 registers."""
 
 
 def checked_registers(sketches: Iterable["HllSketch"]) -> list[bytearray]:
@@ -105,22 +105,6 @@ class HllSketch:
     def to_bytes(self) -> bytes:
         """256 register bytes in index order; used verbatim on the wire."""
         return bytes(self.registers)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "HllSketch":
-        """Inverse of :meth:`to_bytes`; rejects any register above MAX_RANK.
-
-        The client's replica-fetch path builds ``HllSketch(data)`` instead,
-        which checks only the length, and relies on the robust combiner, so
-        a spam replica cannot get its whole response discarded while still
-        poisoning a plain merge.
-        """
-        if any(b > MAX_RANK for b in data):
-            raise MalformedSketchError("register value exceeds maximum rank")
-        return cls(data)
-
-    def copy(self) -> "HllSketch":
-        return HllSketch(self.registers)
 
     def is_empty(self) -> bool:
         return not any(self.registers)

@@ -82,10 +82,9 @@ class VoteStore:
         if ring is None:
             while len(self._rings) >= self.max_keys:
                 self._rings.popitem(last=False)
-            ring = VoteRing()
+            ring = self._rings[key] = VoteRing()
         else:
-            del self._rings[key]
-        self._rings[key] = ring  # most recently written at the tail
+            self._rings.move_to_end(key)  # most recently written at the tail
         block = ring.block_for(int(now) // 3600)
         sketch = block.positive if polarity is Polarity.POSITIVE else block.negative
         sketch.add(voter_ip)

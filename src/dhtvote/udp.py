@@ -189,28 +189,24 @@ class UdpNodeRunner:
         return fetch_votes(self.node, info_hash)
 
     def run_forever(self) -> None:
-        """Block, announcing every announce_period and expiring hourly."""
-        next_announce = time.time()  # announce immediately on startup
-        next_expiry = time.time() + 3600
+        """Announce now and every announce_period after, until stop().
+
+        The store is expired at the first round that starts an hour or more
+        after the last expiry; the period is under an hour, so expiry lags
+        by less than one period.
+        """
+        last_expiry = time.time()
         while not self._stop.is_set():
-            now = time.time()
-            if now >= next_announce:
-                try:
-                    report = self.announce_round()
-                except Exception:
-                    log.exception("announce round failed")
-                else:
-                    delivered = sum(
-                        ok for sends in report.values() for _, ok in sends
-                    )
-                    log.info(
-                        "announce round: %d votes, %d deliveries",
-                        len(report),
-                        delivered,
-                    )
-                next_announce = now + self.config.announce_period
-            if now >= next_expiry:
+            started = time.time()
+            if started - last_expiry >= 3600:
                 with self._lock:
-                    self.node.store.expire(now)
-                next_expiry = now + 3600
-            self._stop.wait(1.0)
+                    self.node.store.expire(started)
+                last_expiry = started
+            try:
+                report = self.announce_round()
+            except Exception:
+                log.exception("announce round failed")
+            else:
+                delivered = sum(ok for sends in report.values() for _, ok in sends)
+                log.info("announce round: %d votes, %d deliveries", len(report), delivered)
+            self._stop.wait(started + self.config.announce_period - time.time())

@@ -16,7 +16,7 @@ from dhtvote import client
 from dhtvote.client import fetch_votes
 from dhtvote.node import NodeConfig, VoteNode, vote_key
 from dhtvote.routing import Contact, RoutingTable, distance
-from dhtvote.sim import ScenarioConfig, SimPeer, SimTransport, SimWorld, run_scenario
+from dhtvote.sim import ScenarioConfig, SimTransport, SimWorld, run_scenario
 from dhtvote.sketch import HllSketch
 from dhtvote.store import Polarity
 
@@ -314,7 +314,7 @@ def test_10_durability(tmp_path):
             clock=world.clock,
             rand_bytes=world.rand_bytes,
         )
-        world.network.peers[address] = SimPeer(-1, address, node)
+        world.network.peers[address] = node
         node.bootstrap()
         return node
 

@@ -1,7 +1,15 @@
 import json
+import os
+import selectors
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dhtvote
 from dhtvote.cli import main
 from dhtvote.node import NodeConfig
 from dhtvote.udp import UdpNodeRunner
@@ -128,3 +136,23 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
         assert "bad scenario" in capsys.readouterr().err
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+
+
+def test_run_exits_zero_on_interrupt(tmp_path):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(dhtvote.__file__).parent.parent))
+    command = [sys.executable, "-m", "dhtvote.cli", "run", "--bind", f"127.0.0.1:{port}",
+               "--state-dir", str(tmp_path)]
+    with subprocess.Popen(command, env=env, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(proc.stderr, selectors.EVENT_READ)
+                assert selector.select(timeout=10.0), "node never logged"
+            assert "listening on" in proc.stderr.readline()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5.0)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0, err

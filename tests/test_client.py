@@ -22,7 +22,7 @@ def random_sketch(rng, items=50):
 
 def test_combine_identical_replicas_is_identity():
     sketch = random_sketch(random.Random(0))
-    assert robust_combine([sketch.copy() for _ in range(5)]) == sketch
+    assert robust_combine([HllSketch(sketch.registers) for _ in range(5)]) == sketch
 
 
 def test_combine_two_replicas_is_plain_merge():
@@ -82,7 +82,7 @@ def test_breakdown_bound_exact_when_honest_agree():
     honest = random_sketch(rng)
     for n, bad in ((3, 1), (5, 2), (7, 3), (8, 3)):
         for corrupt_value in (b"\xff", b"\x00"):
-            replicas = [honest.copy() for _ in range(n - bad)]
+            replicas = [HllSketch(honest.registers) for _ in range(n - bad)]
             replicas += [
                 HllSketch(corrupt_value * 256)
                 for _ in range(bad)
@@ -146,7 +146,7 @@ def test_fetch_with_inflating_minority_stays_honest(small_world, monkeypatch):
         assert poisoned.positive_count > 1_000_000
     finally:
         for peer in replicas[:3]:
-            peer.handler = peer.node
+            small_world.network.peers[peer.address] = peer.node
 
 
 def test_fetch_ignores_sketches_outside_the_replica_set(small_world, monkeypatch):
@@ -181,4 +181,4 @@ def test_fetch_ignores_sketches_outside_the_replica_set(small_world, monkeypatch
         assert abs(result.positive_count - 12) / 12 <= 0.2
         assert abs(result.negative_count - 4) / 4 <= 0.25
     finally:
-        outside.handler = outside.node
+        small_world.network.peers[outside.address] = outside.node

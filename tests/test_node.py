@@ -248,6 +248,7 @@ def test_journal_first_record_wins_and_bad_lines_skipped(tmp_path):
         f"{'aa' * 20},+1,100\n"
         f"{'aa' * 20},-1,200\n"  # duplicate: first wins
         f"{'bb' * 19}b,-1,300\n"  # 39-char hash
+        f"{' '.join(['ab'] * 13):<40},+1,1700000000\n"  # 40 chars, 13 bytes
         "not,a,line,at,all\n"
         f"{'cc' * 20},-1,400\n"
     )
@@ -406,7 +407,7 @@ def test_replica_that_ignores_nv_still_receives_the_announce():
     world, voter, key, replicas = voting_world()
     legacy = replicas[0]
     legacy.node.store.record(key, Polarity.POSITIVE, b"\x0b\x00\x00\x01", world.time)
-    legacy.handler = IgnoresNv(legacy.node)
+    world.network.peers[legacy.address] = IgnoresNv(legacy.node)
     recorder = voter.transport = Recorder(voter.transport)
     [deliveries] = voter.announce_round().values()
     assert all(ok for _, ok in deliveries) and len(deliveries) == 8

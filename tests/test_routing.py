@@ -75,7 +75,7 @@ def test_bucket_overflow_keeps_healthy_contacts():
 
 def test_closest_empty_and_exact_match():
     rng = random.Random(2)
-    table = RoutingTable(make_id(rng))
+    table = RoutingTable(make_id(rng), k=8)
     target = make_id(rng)
     assert table.closest(target) == []
     table.insert(contact(target))
@@ -299,6 +299,6 @@ def test_lookup_fails_without_responders():
     net = StaticNetwork(rng, 10)
     net.down = set(net.ids)
     with pytest.raises(LookupFailedError):
-        iterative_lookup(make_id(rng), [net.contacts[net.ids[0]]], net.query)
+        iterative_lookup(make_id(rng), [net.contacts[net.ids[0]]], net.query, k=8, alpha=3)
     with pytest.raises(LookupFailedError):
-        iterative_lookup(make_id(rng), [], net.query)
+        iterative_lookup(make_id(rng), [], net.query, k=8, alpha=3)

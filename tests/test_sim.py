@@ -2,8 +2,12 @@ import hashlib
 
 import pytest
 
+from conftest import FakeClock, make_test_node
+from dhtvote import krpc
 from dhtvote.sim import (
+    MALICE_STRATEGIES,
     AnnounceEvent,
+    MaliciousPeer,
     ScenarioConfig,
     SimWorld,
     replay_oracle,
@@ -49,6 +53,49 @@ def test_config_json_round_trip():
     assert config.node_count == 60
     assert config.churn_rate == 0.1
     assert config.k == 8  # defaults preserved
+
+
+def test_malicious_peer_corrupts_only_get_votes_sketches():
+    clock = FakeClock()
+    key = b"\x42" * 20
+    querier, source = b"\x01" * 20, ("10.9.9.9", 6881)
+
+    def holder():
+        node = make_test_node(clock)  # one seed: one id, token secret and table
+        node.store.record(key, Polarity.POSITIVE, b"\x0a\x00\x00\x01", clock())
+        node.store.record(key, Polarity.NEGATIVE, b"\x0a\x00\x00\x02", clock())
+        return node
+
+    honest = holder()
+    token = honest.tokens.issue(source)
+    datagrams = [
+        krpc.encode_message(query)
+        for query in (
+            krpc.get_votes_query(b"gv", querier, key),
+            krpc.ping_query(b"pi", querier),
+            krpc.announce_vote_query(b"av", querier, key, 1, token),
+            krpc.get_votes_query(b"er", querier, b"short"),  # an error reply
+        )
+    ]
+    expected = [honest.handle_datagram(data, source) for data in datagrams]
+    honest_values = krpc.decode_message(expected[0]).values
+    vp, vn = honest_values.pop(b"vp"), honest_values.pop(b"vn")
+    assert vp != vn
+    for strategy in MALICE_STRATEGIES:
+        peer = MaliciousPeer(holder(), strategy)
+        replies = [peer.handle_datagram(data, source) for data in datagrams]
+        if strategy == "silent":
+            assert replies == [None] * len(datagrams)
+            continue
+        assert replies[1:] == expected[1:], strategy
+        values = krpc.decode_message(replies[0]).values
+        sketches = values.pop(b"vp", None), values.pop(b"vn", None)
+        assert sketches == {
+            "inflate-registers": (b"\xff" * 256, b"\xff" * 256),
+            "zero-out": (None, None),
+            "flip-polarity": (vn, vp),
+        }[strategy]
+        assert values == honest_values, strategy
 
 
 def test_replay_oracle_window_and_distinctness():

@@ -1,12 +1,14 @@
+import dataclasses
 import selectors
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from dhtvote import krpc
-from dhtvote.node import NodeConfig, VoteNode
+from dhtvote import krpc, udp
+from dhtvote.node import NodeConfig, VoteNode, vote_key
 from dhtvote.routing import Contact
 from dhtvote.store import Polarity
 from dhtvote.udp import UdpNodeRunner, UdpTransport
@@ -224,6 +226,52 @@ def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time():
                 runner.stop()
     assert pongs and all(pong is not None for pong in pongs)
     assert noisy <= 2 * quiet
+
+
+def test_run_forever_announces_each_period_until_stopped(monkeypatch):
+    """Rounds start one announce_period apart, the store expires at the
+    first round an hour after the last expiry, and stop() ends the loop."""
+    skew = [0.0]  # added to the runner's clock; jumps an hour after round 2
+    monkeypatch.setattr(udp, "time", SimpleNamespace(time=lambda: time.time() + skew[0]))
+    servers = []
+    client = None
+    starts, expiries = [], []
+    info_hash = b"\x07" * 20
+    try:
+        for _ in range(3):
+            bootstrap = [servers[0].local_address] if servers else []
+            servers.append(UdpNodeRunner(client_config(bootstrap)))
+            servers[-1].start()
+        config = client_config([servers[0].local_address])
+        client = UdpNodeRunner(dataclasses.replace(config, announce_period=0.3))
+        client.start()
+        client.cast_vote(info_hash, Polarity.POSITIVE)
+        announce_round = client.announce_round
+
+        def counted_round():
+            starts.append(time.monotonic())
+            report = announce_round()
+            if len(starts) == 2:
+                skew[0] = 3600.0
+            return report
+
+        client.announce_round = counted_round
+        monkeypatch.setattr(client.node.store, "expire", expiries.append)
+        thread = threading.Thread(target=client.run_forever)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while len(starts) < 4 and time.monotonic() < deadline:
+            time.sleep(0.02)
+    finally:
+        for runner in [client] + servers:
+            if runner is not None:
+                runner.stop()
+    thread.join(timeout=2.0)
+    assert not thread.is_alive()
+    assert len(starts) >= 4
+    assert 0.25 <= starts[1] - starts[0] < 0.9  # one period, not a 1 s poll
+    assert len(expiries) == 1  # at round 3, the first an hour after the start
+    assert any(vote_key(info_hash) in server.node.store for server in servers)
 
 
 def test_request_refuses_a_transaction_id_already_pending():
