@@ -87,14 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_runner(args, state_dir: str | None, **config) -> UdpNodeRunner:
     """A started runner; ``config`` holds NodeConfig fields beyond the shared ones."""
-    runner = UdpNodeRunner(
-        NodeConfig(
+    try:
+        node_config = NodeConfig(
             state_dir=state_dir,
             bootstrap=list(args.bootstrap),
             query_timeout=args.timeout,
             **config,
         )
-    )
+    except ValueError as exc:  # a flag value NodeConfig refuses: exit 2 with the usage
+        build_parser().error(str(exc))
+    runner = UdpNodeRunner(node_config)
     runner.start()
     return runner
 

@@ -62,7 +62,11 @@ class NodeConfig:
             if type(value) is not int or value < 1:  # bool is not a count
                 raise ValueError("k and alpha must be integers of at least 1")
         if not 0 < self.announce_period < 3600:
-            raise ValueError("announce_period must be under one hour")
+            raise ValueError("announce_period must be above 0 and under one hour")
+        if type(self.query_timeout) not in (int, float) or not 0 < self.query_timeout < float("inf"):
+            raise ValueError("query_timeout must be a positive finite number of seconds")
+        if type(self.query_retries) is not int or self.query_retries < 0:
+            raise ValueError("query_retries must be an integer of at least 0")
 
 
 @dataclass

@@ -402,23 +402,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     # hour, probes one second before each hour boundary
     horizon = config.duration_hours * 3600
     offsets = [world.rng.randrange(1, int(config.announce_period)) for _ in world.peers]
-    events: list[tuple[float, int, str, int]] = []
-    seq = 0
+    events: list[tuple[float, str, int]] = []
     for index, offset in enumerate(offsets):
         t = float(offset)
         while t < horizon:
-            events.append((t, seq, "announce", index))
-            seq += 1
+            events.append((t, "announce", index))
             t += config.announce_period
     for hour in range(1, config.duration_hours + 1):
         if config.churn_rate > 0 and hour < config.duration_hours:
-            events.append((hour * 3600.0, seq, "churn", 0))
-            seq += 1
-        events.append((hour * 3600.0 - 1.0, seq, "probe", 0))
-        seq += 1
+            events.append((hour * 3600.0, "churn", 0))
+        events.append((hour * 3600.0 - 1.0, "probe", 0))
 
     rows: list[dict] = []
-    for when, _, action, index in sorted(events):
+    # the sort is stable: events at one time run in the order they were added
+    for when, action, index in sorted(events, key=lambda event: event[0]):
         world.time = when
         if action == "announce":
             if world.peers[index].node.local_votes:

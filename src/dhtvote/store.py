@@ -5,7 +5,8 @@ Each block pairs a positive and a negative sketch; the slot for hour h is
 h mod 24, and writing into a slot whose resident block belongs to an older
 hour resets it first. Reading is one ``HllSketch.union`` per polarity over
 the blocks of the trailing 24 hours, so votes that stop being re-announced
-age out on their own.
+age out on their own. Keys are kept in write order, and the first write of
+each hour drops the keys at the front whose latest write has left the window.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ class HourBlock:
 class VoteRing:
     """Fixed ring of 24 optional hour blocks, slot = hour_epoch mod 24."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "newest")
 
     def __init__(self) -> None:
         self.blocks: list[HourBlock | None] = [None] * WINDOW_HOURS
+        self.newest = 0  # latest hour written; every block has left the window once it has
 
     def block_for(self, hour_epoch: int) -> HourBlock:
         """Return the block for this hour, resetting a stale resident."""
@@ -48,6 +50,7 @@ class VoteRing:
             # A slot revisited at the same index is necessarily >= 24 h old.
             block = HourBlock(hour_epoch)
             self.blocks[slot] = block
+            self.newest = max(self.newest, hour_epoch)
         return block
 
     def in_window(self, now_hour: int) -> list[HourBlock]:
@@ -68,6 +71,7 @@ class VoteStore:
             raise ValueError("max_keys must be at least 1")
         self.max_keys = max_keys
         self._rings: OrderedDict[bytes, VoteRing] = OrderedDict()
+        self._swept_hour: int | None = None
 
     def __len__(self) -> int:
         return len(self._rings)
@@ -78,14 +82,20 @@ class VoteStore:
     def record(self, key: bytes, polarity: Polarity, voter_ip: bytes, now: float) -> None:
         """Add one vote from voter_ip into the current hour's block for key."""
         _check_key(key)
-        ring = self._rings.get(key)
+        hour = int(now) // 3600
+        rings = self._rings
+        if hour != self._swept_hour:  # a ring only expires as the hour turns
+            self._swept_hour = hour
+            while rings and next(iter(rings.values())).newest <= hour - WINDOW_HOURS:
+                rings.popitem(last=False)
+        ring = rings.get(key)
         if ring is None:
-            while len(self._rings) >= self.max_keys:
-                self._rings.popitem(last=False)
-            ring = self._rings[key] = VoteRing()
+            while len(rings) >= self.max_keys:
+                rings.popitem(last=False)
+            ring = rings[key] = VoteRing()
         else:
-            self._rings.move_to_end(key)  # most recently written at the tail
-        block = ring.block_for(int(now) // 3600)
+            rings.move_to_end(key)  # most recently written at the tail
+        block = ring.block_for(hour)
         sketch = block.positive if polarity is Polarity.POSITIVE else block.negative
         sketch.add(voter_ip)
 
@@ -98,11 +108,3 @@ class VoteStore:
             HllSketch.union(b.positive for b in blocks),
             HllSketch.union(b.negative for b in blocks),
         )
-
-    def expire(self, now: float) -> int:
-        """Drop rings with no in-window block; returns how many were removed."""
-        now_hour = int(now) // 3600
-        dead = [k for k, ring in self._rings.items() if not ring.in_window(now_hour)]
-        for key in dead:
-            del self._rings[key]
-        return len(dead)

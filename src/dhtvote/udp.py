@@ -49,12 +49,12 @@ class UdpTransport:
 
     def start(self) -> None:
         self._running = True
-        self._thread = threading.Thread(target=self._recv_loop, daemon=True)
+        self._thread = threading.Thread(target=self._recv_loop, name="dhtvote-recv", daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
-        self._running = False
-        if self._thread is not None:
+        if self._running:  # only once after start(); closing again is a no-op
+            self._running = False
             # An empty datagram to ourselves wakes the receive loop at once;
             # its 0.2 s poll is only the fallback should the wake-up be lost.
             host, port = self.local_address
@@ -134,14 +134,14 @@ class _Waiter:
 
 
 class UdpNodeRunner:
-    """A VoteNode bound to a real socket, with periodic maintenance.
+    """A VoteNode bound to a real socket, with periodic announce rounds.
 
     ``_lock`` serializes the node state that the receive thread shares
-    with callers: inbound queries, casts, store expiry, and the copy of the
-    local votes an announce round starts from. It is never held across
-    network I/O; bootstrap, lookups and announces take no lock but the
-    routing table's own. ``_round_lock`` keeps announce rounds one at a
-    time; the receive thread never takes it.
+    with callers: inbound queries, casts, and the copy of the local votes
+    an announce round starts from. It is never held across network I/O;
+    bootstrap, lookups and announces take no lock but the routing table's
+    own. ``_round_lock`` keeps announce rounds one at a time; the receive
+    thread never takes it.
     """
 
     def __init__(self, config: NodeConfig, node_id: bytes | None = None):
@@ -189,19 +189,9 @@ class UdpNodeRunner:
         return fetch_votes(self.node, info_hash)
 
     def run_forever(self) -> None:
-        """Announce now and every announce_period after, until stop().
-
-        The store is expired at the first round that starts an hour or more
-        after the last expiry; the period is under an hour, so expiry lags
-        by less than one period.
-        """
-        last_expiry = time.time()
+        """Announce now and every announce_period after, until stop()."""
         while not self._stop.is_set():
             started = time.time()
-            if started - last_expiry >= 3600:
-                with self._lock:
-                    self.node.store.expire(started)
-                last_expiry = started
             try:
                 report = self.announce_round()
             except Exception:

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -34,3 +35,11 @@ def make_test_node(clock, state_dir=None, seed=0, **config_kwargs) -> VoteNode:
     return VoteNode(
         config, NullTransport(), clock=clock, rand_bytes=rng.randbytes
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_node_threads_outlive_the_tests():
+    """Fail the run if a test left a runner's receive or announce thread alive."""
+    yield
+    alive = sorted(t.name for t in threading.enumerate() if t.name.startswith("dhtvote-"))
+    assert not alive, f"node threads still running after the tests: {alive}"

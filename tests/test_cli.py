@@ -93,6 +93,19 @@ def test_bad_endpoint_is_usage_error(capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--timeout", "0", "get", "--bootstrap", "127.0.0.1:1", "--infohash", INFOHASH],
+    ["--timeout", "-1", "get", "--bootstrap", "127.0.0.1:1", "--infohash", INFOHASH],
+    ["--timeout", "nan", "get", "--bootstrap", "127.0.0.1:1", "--infohash", INFOHASH],
+    ["run", "--state-dir", "{tmp}", "--announce-period", "0"],
+])
+def test_flag_value_refused_by_node_config_is_usage_error(flags, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag.format(tmp=tmp_path) for flag in flags])
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_outputs(tmp_path, capsys):
     scenario = tmp_path / "s.json"
     scenario.write_text(

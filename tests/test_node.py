@@ -67,6 +67,17 @@ def test_node_id_must_be_20_bytes(clock):
         VoteNode(NodeConfig(), NullTransport(), clock=clock, node_id=b"short")
 
 
+@pytest.mark.parametrize("name, value", [
+    ("query_timeout", 0), ("query_timeout", -1.0), ("query_timeout", float("nan")),
+    ("query_timeout", float("inf")), ("query_timeout", True), ("query_timeout", "2"),
+    ("query_retries", -1), ("query_retries", 1.5), ("query_retries", True),
+])
+def test_config_rejects_bad_transport_settings(name, value):
+    with pytest.raises(ValueError, match=name):
+        NodeConfig(**{name: value})
+    NodeConfig(query_timeout=1, query_retries=0)  # the least values allowed
+
+
 # ---------------------------------------------------------------------------
 # query handling
 

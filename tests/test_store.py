@@ -99,31 +99,58 @@ def test_malformed_key_rejected():
         store.aggregate(b"x" * 21, now=0)
 
 
-def test_expire_counts_and_removes():
-    store = VoteStore()
-    assert store.expire(now=0) == 0
-    store.record(KEY, Polarity.POSITIVE, ip(1), now=0)
-    other = b"o" * 20
-    store.record(other, Polarity.POSITIVE, ip(2), now=20 * HOUR)
-    assert store.expire(now=25 * HOUR) == 1
-    assert KEY not in store
-    assert other in store
-    assert store.aggregate(KEY, now=25 * HOUR)[0].is_empty()
-
-
-def test_expire_mixed_table_matches_rescan():
+def test_write_drops_exactly_the_expired_keys():
     rng = random.Random(5)
     store = VoteStore()
-    stamps = {}
-    for n in range(50):
-        key = rng.randbytes(20)
-        hour = rng.randrange(0, 40)
+    hours = sorted(rng.randrange(0, 30) for _ in range(50))
+    keys = [rng.randbytes(20) for _ in hours]
+    for n, (key, hour) in enumerate(zip(keys, hours)):
         store.record(key, Polarity.POSITIVE, ip(n), now=hour * HOUR)
-        stamps[key] = hour
     now = 40 * HOUR
-    expected_dead = sum(1 for h in stamps.values() if 40 - h >= 24)
-    assert store.expire(now) == expected_dead
-    assert len(store) == 50 - expected_dead
+    # rescan: a key is live while its latest write is under 24 h old
+    live = [key for key, hour in zip(keys, hours) if 40 - hour < 24]
+    before = {key: store.aggregate(key, now) for key in live}
+    assert len(live) < len(store)
+    store.record(KEY, Polarity.NEGATIVE, ip(99), now=now)
+    assert len(store) == len(live) + 1
+    assert all(key in store and store.aggregate(key, now) == before[key] for key in live)
+
+
+def test_expired_key_written_again_holds_only_the_new_vote():
+    store = VoteStore()
+    store.record(KEY, Polarity.POSITIVE, ip(1), now=0)
+    store.record(KEY, Polarity.POSITIVE, ip(2), now=5 * HOUR)
+    store.record(KEY, Polarity.NEGATIVE, ip(3), now=30 * HOUR)
+    only = VoteStore()
+    only.record(KEY, Polarity.NEGATIVE, ip(3), now=30 * HOUR)
+    assert store.aggregate(KEY, 30 * HOUR) == only.aggregate(KEY, 30 * HOUR)
+    assert store._rings[KEY].blocks.count(None) == 23
+
+
+def test_second_write_in_an_hour_drops_nothing():
+    store = VoteStore()
+    stale, live = b"s" * 20, b"l" * 20
+    store.record(live, Polarity.POSITIVE, ip(1), now=30 * HOUR)
+    store.record(stale, Polarity.POSITIVE, ip(2), now=5 * HOUR)  # the clock stepped back
+    store.record(live, Polarity.POSITIVE, ip(3), now=31 * HOUR)  # stale is now the front
+    store.record(KEY, Polarity.POSITIVE, ip(4), now=31 * HOUR + 10)
+    assert stale in store  # expired, but hour 31 was already swept
+    store.record(KEY, Polarity.POSITIVE, ip(5), now=32 * HOUR)
+    assert stale not in store and live in store
+
+
+def test_clock_step_back_never_drops_a_live_ring():
+    store = VoteStore()
+    stale, live = b"s" * 20, b"l" * 20
+    store.record(live, Polarity.POSITIVE, ip(1), now=30 * HOUR)
+    store.record(live, Polarity.POSITIVE, ip(2), now=7 * HOUR)  # the clock stepped back
+    store.record(stale, Polarity.POSITIVE, ip(3), now=6 * HOUR)
+    store.record(KEY, Polarity.POSITIVE, ip(4), now=31 * HOUR)
+    # live's latest write (hour 7) has left the window, its hour-30 block has not
+    assert live in store
+    assert not store.aggregate(live, 31 * HOUR)[0].is_empty()
+    assert stale in store  # expired, but it waits behind the live ring
+    assert store.aggregate(stale, 31 * HOUR)[0].is_empty()
 
 
 def test_lru_eviction_at_capacity():
