@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 from .node import NodeConfig
@@ -47,14 +48,23 @@ def _parse_polarity(text: str) -> Polarity:
     raise argparse.ArgumentTypeError("polarity must be +1 or -1")
 
 
+def _parse_config_value(field: str, scale: float, text: str) -> float:
+    try:
+        value = float(text)
+        NodeConfig(**{field: value * scale})  # the one copy of each bound
+    except ValueError as exc:  # as ArgumentTypeError, the usage error names the flag
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dhtvote", description="Distributed voting over a Kademlia DHT"
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     parser.add_argument(
-        "--timeout", type=float, default=NodeConfig.query_timeout,
-        help="query timeout in seconds",
+        "--timeout", type=partial(_parse_config_value, "query_timeout", 1.0),
+        default=NodeConfig.query_timeout, help="query timeout in seconds",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -63,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--state-dir", required=True)
     run.add_argument("--bootstrap", type=_parse_endpoint, nargs="*", default=[])
     run.add_argument(
-        "--announce-period", type=float, default=NodeConfig.announce_period / 60.0,
-        metavar="MINUTES",
+        "--announce-period", type=partial(_parse_config_value, "announce_period", 60.0),
+        default=NodeConfig.announce_period / 60.0, metavar="MINUTES",
     )
 
     vote = commands.add_parser("vote", help="cast and announce one vote")
@@ -87,16 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_runner(args, state_dir: str | None, **config) -> UdpNodeRunner:
     """A started runner; ``config`` holds NodeConfig fields beyond the shared ones."""
-    try:
-        node_config = NodeConfig(
-            state_dir=state_dir,
-            bootstrap=list(args.bootstrap),
-            query_timeout=args.timeout,
-            **config,
-        )
-    except ValueError as exc:  # a flag value NodeConfig refuses: exit 2 with the usage
-        build_parser().error(str(exc))
-    runner = UdpNodeRunner(node_config)
+    runner = UdpNodeRunner(NodeConfig(
+        state_dir=state_dir,
+        bootstrap=list(args.bootstrap),
+        query_timeout=args.timeout,
+        **config,
+    ))
     runner.start()
     return runner
 

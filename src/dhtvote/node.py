@@ -177,13 +177,13 @@ class VoteNode:
     """Protocol logic for one DHT participant.
 
     The routing table is the only state that the server side
-    (handle_datagram) and the client side (lookups, bootstrap,
+    (handle_datagram) and the client side (lookups, bootstrap, casts,
     announce_round, fetch_votes) both touch, and it takes its own lock. The
-    rest (store, token issuer, local votes) must be serialized by the
-    caller: the simulator is single-threaded, and the UDP runner takes one
-    lock around them that it never holds across network I/O. One
-    announce_round may run its votes' tasks concurrently; rounds must not
-    overlap, because they share the announce tokens.
+    server side alone owns the store and token issuer, the client side the
+    local votes and journal, and the caller serializes each side: the UDP
+    runner on one receive thread and one cast lock, the simulator on one
+    thread. One announce_round may run its votes' tasks concurrently;
+    rounds must not overlap, because they share the announce tokens.
     """
 
     def __init__(

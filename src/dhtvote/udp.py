@@ -1,10 +1,10 @@
 """Real UDP transport and the long-running node wrapper.
 
 One receive thread demultiplexes the socket: inbound queries go to the
-node's handler, inbound responses are matched to waiting requests by
-(address, transaction id). Requests wait on their own threads, and no lock
-is held while they wait, so the receive thread never waits on a lookup.
-An announce round looks up and announces up to ``alpha`` votes at once.
+node's ``handle_datagram``, as in the simulator, and inbound responses are
+matched to waiting requests by (address, transaction id). It takes no
+lock but the routing table's, so neither a lookup nor a journal sync
+delays an answer. A round announces up to ``alpha`` votes at once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class UdpTransport:
     ):
         self.timeout = timeout
         self.retries = retries
-        self.handler = None  # set by the runner before start()
+        self.handler: VoteNode | None = None  # set by the runner before start()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(bind)
         self._sock.settimeout(0.2)
@@ -105,10 +105,8 @@ class UdpTransport:
         except Exception:
             return
         if isinstance(message, krpc.Query):
-            if self.handler is None:
-                return
-            try:
-                reply = self.handler(data, source)
+            try:  # looked up per call, so a patch on the class takes effect
+                reply = self.handler.handle_datagram(data, source)
             except Exception:
                 log.exception("datagram handler failed")
                 return
@@ -136,12 +134,11 @@ class _Waiter:
 class UdpNodeRunner:
     """A VoteNode bound to a real socket, with periodic announce rounds.
 
-    ``_lock`` serializes the node state that the receive thread shares
-    with callers: inbound queries, casts, and the copy of the local votes
-    an announce round starts from. It is never held across network I/O;
-    bootstrap, lookups and announces take no lock but the routing table's
-    own. ``_round_lock`` keeps announce rounds one at a time; the receive
-    thread never takes it.
+    The receive thread alone touches the node's store and token issuer, and
+    takes neither runner lock. ``_lock`` guards the local votes and journal:
+    a cast holds it across the journal's sync, a round only to copy the
+    votes. ``_round_lock`` keeps rounds one at a time. Bootstrap, lookups
+    and announces take no lock but the routing table's own.
     """
 
     def __init__(self, config: NodeConfig, node_id: bytes | None = None):
@@ -152,16 +149,12 @@ class UdpNodeRunner:
         self.node = VoteNode(config, self.transport, node_id=node_id)
         self._lock = threading.Lock()
         self._round_lock = threading.Lock()
-        self.transport.handler = self._handle
+        self.transport.handler = self.node
         self._stop = threading.Event()
 
     @property
     def local_address(self) -> Address:
         return self.transport.local_address
-
-    def _handle(self, data: bytes, source: Address) -> bytes | None:
-        with self._lock:
-            return self.node.handle_datagram(data, source)
 
     def start(self) -> None:
         self.transport.start()

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from dhtvote import client, node, routing, sim, sketch, store, udp
+from dhtvote import client, krpc, node, routing, sim, sketch, store, udp
+from dhtvote.node import NodeConfig
 from dhtvote.sim import ScenarioConfig, SimWorld
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -76,3 +77,28 @@ def test_benchmark_instrumentation_runs_and_restores(bench_modules):
         assert spans[name][0] > 0, name
     counters = tracer.summary()["counters"]
     assert counters["routing.queried"] >= counters["routing.answered"] > 0
+
+
+def test_class_patch_after_start_sees_udp_queries(monkeypatch):
+    """perfbench/udp_nodes.py patches VoteNode.handle_datagram on the class
+    after its runners have started; the receive thread must call the patch."""
+    config = NodeConfig(bind=("127.0.0.1", 0), query_timeout=0.5, query_retries=0)
+    runner, pinger = udp.UdpNodeRunner(config), udp.UdpNodeRunner(config)
+    calls = []
+    handle_datagram = node.VoteNode.handle_datagram
+
+    def counted(self, data, source):
+        calls.append(self)
+        return handle_datagram(self, data, source)
+
+    try:
+        runner.start()
+        pinger.start()
+        monkeypatch.setattr(node.VoteNode, "handle_datagram", counted)
+        query = krpc.ping_query(pinger.node._new_tid(), pinger.node.node_id)
+        reply = pinger.node.send_query(runner.local_address, query)
+    finally:
+        pinger.stop()
+        runner.stop()
+    assert reply is not None
+    assert calls == [runner.node]

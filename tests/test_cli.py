@@ -98,12 +98,16 @@ def test_bad_endpoint_is_usage_error(capsys):
     ["--timeout", "-1", "get", "--bootstrap", "127.0.0.1:1", "--infohash", INFOHASH],
     ["--timeout", "nan", "get", "--bootstrap", "127.0.0.1:1", "--infohash", INFOHASH],
     ["run", "--state-dir", "{tmp}", "--announce-period", "0"],
+    ["run", "--state-dir", "{tmp}", "--announce-period", "60"],  # one hour, in minutes
 ])
 def test_flag_value_refused_by_node_config_is_usage_error(flags, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([flag.format(tmp=tmp_path) for flag in flags])
     assert exit_info.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    refused = flags[0] if flags[0].startswith("--") else flags[-2]
+    assert f"argument {refused}: " in err
 
 
 def test_simulate_deterministic_outputs(tmp_path, capsys):

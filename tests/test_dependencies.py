@@ -1,0 +1,32 @@
+"""The package runs on the standard library alone: ``dependencies = []``."""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def absolute_imports(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_package_imports_only_the_standard_library():
+    imported = set()
+    for path in sorted((ROOT / "src" / "dhtvote").glob("*.py")):
+        imported |= absolute_imports(path)
+    assert imported  # the walk found the package
+    outside = sorted(name for name in imported
+                     if name.partition(".")[0] not in sys.stdlib_module_names)
+    assert outside == []
+    if sys.version_info >= (3, 11):  # tomllib is new in 3.11
+        import tomllib
+
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert project["dependencies"] == []

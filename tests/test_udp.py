@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import random
 import selectors
 import socket
 import threading
@@ -312,3 +314,89 @@ def test_request_refuses_a_transaction_id_already_pending():
     [reply] = first
     assert reply is not None and reply.values[b"id"] == b"\x02" * 20
     assert transport._pending == {}
+
+
+def ping(pinger: UdpNodeRunner, address) -> krpc.Response | None:
+    node = pinger.node
+    return node.send_query(address, krpc.ping_query(node._new_tid(), node.node_id))
+
+
+def test_ping_is_answered_while_a_cast_syncs_the_journal(tmp_path, monkeypatch):
+    """The receive thread does not wait for a cast's journal fsync."""
+    syncing, release = threading.Event(), threading.Event()
+    real_fsync = os.fsync
+
+    def held_fsync(fd):
+        syncing.set()
+        release.wait(5.0)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", held_fsync)
+    voter = UdpNodeRunner(dataclasses.replace(client_config([]), state_dir=str(tmp_path)))
+    pinger = UdpNodeRunner(client_config([], timeout=0.5))
+    cast = threading.Thread(target=voter.cast_vote, args=(b"\x07" * 20, Polarity.POSITIVE))
+    try:
+        voter.start()
+        pinger.start()
+        cast.start()
+        assert syncing.wait(2.0)
+        started = time.perf_counter()
+        reply = ping(pinger, voter.local_address)
+        seconds = time.perf_counter() - started
+        assert cast.is_alive()  # the cast still holds the runner lock
+    finally:
+        release.set()
+        cast.join(timeout=5.0)
+        pinger.stop()
+        voter.stop()
+    assert not cast.is_alive()
+    assert reply is not None and reply.values[b"id"] == voter.node.node_id
+    assert seconds < 0.25
+
+
+def wait_until_read(sender: socket.socket, address) -> bool:
+    """Ping from ``sender`` until answered, within 5 s. The receive thread
+    reads in order, so every datagram sent before has then been read, or
+    dropped by the kernel when the socket's buffer was full."""
+    sender.settimeout(0.5)
+    barrier = krpc.encode_message(krpc.ping_query(b"zz", b"\x02" * 20))
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        sender.sendto(barrier, address)
+        try:
+            while krpc.decode_message(sender.recvfrom(2048)[0]).tid != b"zz":
+                pass  # a reply to one of the corrupted queries
+            return True
+        except socket.timeout:
+            continue
+    return False
+
+
+def test_runner_survives_malformed_datagrams():
+    """Garbage, truncated and corrupted queries through the socket leave the
+    receive thread alive and answering."""
+    rng = random.Random(15)
+    target = UdpNodeRunner(client_config([]))
+    pinger = UdpNodeRunner(client_config([], timeout=0.5))
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    query = krpc.encode_message(krpc.get_votes_query(b"gv", b"\x01" * 20, b"\x07" * 20))
+    datagrams = [rng.randbytes(rng.randint(1, 1500)) for _ in range(100)]
+    datagrams += [query[:rng.randrange(len(query))] for _ in range(100)]
+    for _ in range(100):
+        corrupt = bytearray(query)
+        corrupt[rng.randrange(len(corrupt))] = rng.randrange(256)
+        datagrams.append(bytes(corrupt))
+    try:
+        target.start()
+        pinger.start()
+        for datagram in datagrams:
+            sender.sendto(datagram, target.local_address)
+        assert wait_until_read(sender, target.local_address)
+        reply = ping(pinger, target.local_address)
+        receiver = target.transport._thread
+        assert receiver.name == "dhtvote-recv" and receiver.is_alive()
+    finally:
+        sender.close()
+        pinger.stop()
+        target.stop()
+    assert reply is not None and reply.values[b"id"] == target.node.node_id
