@@ -1,7 +1,7 @@
 """Command line entry point: run a node, cast a vote, fetch votes, simulate.
 
-``vote`` and ``get`` use short-lived nodes that join, do their one job, and
-exit; the journal in the state directory is the shared truth between runs.
+``vote`` and ``get`` use short-lived nodes that do one lookup and exit; the
+journal in the state directory is the shared truth between runs.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
+import threading
 from functools import partial
 from pathlib import Path
 
@@ -96,41 +98,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_runner(args, state_dir: str | None, **config) -> UdpNodeRunner:
-    """A started runner; ``config`` holds NodeConfig fields beyond the shared ones."""
-    runner = UdpNodeRunner(NodeConfig(
+    """An unstarted runner; ``config`` holds NodeConfig fields beyond the shared ones."""
+    return UdpNodeRunner(NodeConfig(
         state_dir=state_dir,
         bootstrap=list(args.bootstrap),
         query_timeout=args.timeout,
         **config,
     ))
-    runner.start()
-    return runner
 
 
 def _cmd_run(args) -> int:
+    # Ctrl-C goes to the sigwait below, not to whatever line the main thread
+    # is on: a KeyboardInterrupt raised inside the log call escaped before the
+    # runner stopped, and one due as the thread began to wait could go unseen
+    # for a whole period. Threads inherit the mask, so block before any starts.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     runner = _make_runner(
         args, args.state_dir, bind=args.bind, announce_period=args.announce_period * 60.0,
     )
+    runner.start()
     logging.info("node %s listening on %s:%d",
                  runner.node.node_id.hex()[:8], *runner.local_address)
-    try:
-        runner.run_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        runner.stop()
+    rounds = threading.Thread(target=runner.run_forever, name="dhtvote-rounds")
+    rounds.start()
+    signal.sigwait({signal.SIGINT})
+    runner.stop()
+    rounds.join()
     return 0
 
 
 def _cmd_vote(args) -> int:
     runner = _make_runner(args, args.state_dir)
     try:
-        verdict = runner.cast_vote(args.infohash, args.polarity)
-        if verdict == "already-voted":
+        if runner.cast_vote(args.infohash, args.polarity) == "already-voted":
             print("already-voted")
             return 0
-        report = runner.announce_round()
-        delivered = sum(ok for sends in report.values() for _, ok in sends)
+        runner.transport.start()  # no self-lookup: the announce's lookup joins
+        report = runner.node.announce_round([runner.node.local_votes[args.infohash]])
+        delivered = sum(ok for _, ok in report[args.infohash])
         print(f"announced to {delivered} replicas")
         return 0 if delivered >= 1 else 1
     finally:
@@ -139,10 +144,14 @@ def _cmd_vote(args) -> int:
 
 def _cmd_get(args) -> int:
     runner = _make_runner(args, state_dir=None)
+    runner.transport.start()  # no self-lookup: the fetch's lookup joins
     try:
         result = runner.fetch_votes(args.infohash)
     finally:
         runner.stop()
+    if result.responders == 0:
+        print("no node answered get_votes", file=sys.stderr)
+        return 1
     if args.as_json:
         print(
             json.dumps(

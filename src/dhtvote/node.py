@@ -122,21 +122,40 @@ class Journal:
         directory = Path(state_dir)
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / JOURNAL_FILENAME
+        self.loaded_size = 0  # the file's size when load() last read it
 
     def append(self, vote: LocalVote) -> None:
         line = f"{vote.info_hash.hex()},{vote.polarity.value:+d},{vote.created_at}\n"
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(line)
+        with open(self.path, "a+b") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                line = "\n" + line  # a torn last line must not swallow this vote
+            fh.write(line.encode("ascii"))
             # a vote is permanent: it must survive a crash right after the
             # caller reports it cast, or the user could vote again
             fh.flush()
             os.fsync(fh.fileno())
+        if not end:  # a new (or empty) file: its directory entry must survive a crash too
+            directory = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
+
+    def changed(self) -> bool:
+        """Whether the file's size differs from the one load() last read."""
+        try:
+            return self.path.stat().st_size != self.loaded_size
+        except FileNotFoundError:
+            return False
 
     def load(self) -> list[LocalVote]:
         if not self.path.exists():
             return []
         votes: dict[bytes, LocalVote] = {}
         with open(self.path, "r", encoding="ascii", errors="replace") as fh:
+            # taken before reading, so a racing append shows as a change
+            self.loaded_size = os.fstat(fh.fileno()).st_size
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -207,9 +226,7 @@ class VoteNode:
         # replica id -> token, from the get_votes replies of the running
         # announce round's lookups; read by announce_vote_to
         self._announce_tokens: dict[bytes, object] = {}
-        if self.journal is not None:
-            for vote in self.journal.load():
-                self.local_votes[vote.info_hash] = vote
+        self.reload_journal()
 
     # ------------------------------------------------------------------
     # server side
@@ -397,6 +414,13 @@ class VoteNode:
         except LookupFailedError:
             pass
         return len(self.routing)
+
+    def reload_journal(self) -> None:
+        """Take in the journal's votes if it changed since the last load,
+        such as a vote cast by another process on the same state directory."""
+        if self.journal is not None and self.journal.changed():
+            for vote in self.journal.load():
+                self.local_votes.setdefault(vote.info_hash, vote)
 
     def cast_vote(self, info_hash: bytes, polarity: Polarity) -> str:
         """Register this user's own vote; 'accepted' or 'already-voted'.

@@ -136,9 +136,10 @@ class UdpNodeRunner:
 
     The receive thread alone touches the node's store and token issuer, and
     takes neither runner lock. ``_lock`` guards the local votes and journal:
-    a cast holds it across the journal's sync, a round only to copy the
-    votes. ``_round_lock`` keeps rounds one at a time. Bootstrap, lookups
-    and announces take no lock but the routing table's own.
+    a cast holds it across the journal's sync, a round only to reload a
+    changed journal and copy the votes. ``_round_lock`` keeps rounds one at
+    a time. Bootstrap, lookups and announces take no lock but the routing
+    table's own.
     """
 
     def __init__(self, config: NodeConfig, node_id: bytes | None = None):
@@ -172,6 +173,7 @@ class UdpNodeRunner:
         """One round over the local votes, up to alpha of them at once."""
         with self._round_lock:
             with self._lock:
+                self.node.reload_journal()  # takes in votes cast by `dhtvote vote`
                 votes = list(self.node.local_votes.values())
             with ThreadPoolExecutor(
                 max_workers=self.config.alpha, thread_name_prefix="dhtvote-announce"

@@ -3,7 +3,9 @@ import threading
 
 import pytest
 
+from dhtvote import krpc
 from dhtvote.node import NodeConfig, VoteNode
+from dhtvote.udp import UdpTransport
 
 
 class FakeClock:
@@ -35,6 +37,20 @@ def make_test_node(clock, state_dir=None, seed=0, **config_kwargs) -> VoteNode:
     return VoteNode(
         config, NullTransport(), clock=clock, rand_bytes=rng.randbytes
     )
+
+
+@pytest.fixture
+def sent_requests(monkeypatch) -> list[tuple[str, bytes | None]]:
+    """(kind, target) of each request a UdpTransport sends during the test."""
+    sent = []
+    request = UdpTransport.request
+
+    def counted(transport, address, data, kind):
+        sent.append((kind, krpc.decode_message(data).args.get(b"target")))
+        return request(transport, address, data, kind)
+
+    monkeypatch.setattr(UdpTransport, "request", counted)
+    return sent
 
 
 @pytest.fixture(scope="session", autouse=True)

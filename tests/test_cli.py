@@ -11,7 +11,8 @@ import pytest
 
 import dhtvote
 from dhtvote.cli import main
-from dhtvote.node import NodeConfig
+from dhtvote.node import Journal, LocalVote, NodeConfig, vote_key
+from dhtvote.store import Polarity
 from dhtvote.udp import UdpNodeRunner
 
 INFOHASH = "ab" * 20
@@ -79,6 +80,39 @@ def test_get_unknown_infohash_is_zero(live_network, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("pos=0 neg=0 responders=")
+
+
+def test_get_sends_no_find_node(live_network, sent_requests, capsys):
+    rc = main(["--timeout", "0.2", "get", "--bootstrap", bootstrap_arg(live_network),
+               "--infohash", "ef" * 20])
+    assert rc == 0
+    kinds = [kind for kind, _ in sent_requests]
+    assert "find_node" not in kinds
+    assert kinds.count("ping") == 1  # the one bootstrap contact
+    assert {target for kind, target in sent_requests if kind == "get_votes"} == {
+        vote_key(bytes.fromhex("ef" * 20))
+    }
+    capsys.readouterr()
+
+
+def test_vote_already_in_the_journal_sends_no_datagram(tmp_path, monkeypatch, capsys):
+    state = tmp_path / "state"
+    Journal(state).append(LocalVote(bytes.fromhex(INFOHASH), Polarity.NEGATIVE, 1700000000))
+    sent = []
+    monkeypatch.setattr(socket.socket, "sendto", lambda sock, *args: sent.append(args))
+    rc = main(["--timeout", "0.2", "vote", "--state-dir", str(state), "--bootstrap",
+               "127.0.0.1:9", "--infohash", INFOHASH, "--polarity", "+1"])
+    assert rc == 0
+    assert capsys.readouterr().out == "already-voted\n"
+    assert sent == []
+
+
+def test_get_with_no_node_reachable_fails(capsys):
+    rc = main(["--timeout", "0.05", "get", "--bootstrap", "127.0.0.1:9", "--infohash", INFOHASH])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no node answered" in err
 
 
 def test_bad_infohash_is_usage_error(capsys):

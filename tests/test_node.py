@@ -1,5 +1,6 @@
 import os
 import random
+import stat
 from hashlib import sha1
 
 import pytest
@@ -244,13 +245,26 @@ def test_journal_append_is_durable(tmp_path, monkeypatch):
     synced = []
 
     def fsync(fd):
-        # the line must already have left the file object's buffer
-        synced.append(len(journal.path.read_text().splitlines()))
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            synced.append("dir")
+        else:  # the line must already have left the file object's buffer
+            synced.append(len(journal.path.read_text().splitlines()))
 
     monkeypatch.setattr(os, "fsync", fsync)
     journal.append(LocalVote(b"a" * 20, Polarity.POSITIVE, 1700000000))
     journal.append(LocalVote(b"b" * 20, Polarity.NEGATIVE, 1700000001))
-    assert synced == [1, 2]
+    # the append that creates the file also syncs the directory naming it
+    assert synced == [1, "dir", 2]
+
+
+def test_vote_appended_after_a_torn_tail_survives_load(tmp_path):
+    journal = Journal(tmp_path)
+    journal.path.write_text(f"{'aa' * 20},+1,100\n{'bb' * 20},-")  # crash mid-write
+    journal.append(LocalVote(b"c" * 20, Polarity.NEGATIVE, 1700000000))
+    assert [(v.info_hash, v.polarity) for v in Journal(tmp_path).load()] == [
+        (b"\xaa" * 20, Polarity.POSITIVE),
+        (b"c" * 20, Polarity.NEGATIVE),
+    ]
 
 
 def test_journal_first_record_wins_and_bad_lines_skipped(tmp_path):
@@ -278,6 +292,19 @@ def test_restart_preserves_votes_and_blocks_revote(tmp_path, clock):
     reloaded = make_test_node(clock, state_dir=str(tmp_path), seed=99)
     assert reloaded.cast_vote(info_hash, Polarity.POSITIVE) == "already-voted"
     assert reloaded.local_votes[info_hash].polarity == Polarity.NEGATIVE
+
+
+def test_reload_journal_takes_in_votes_only_from_a_changed_file(tmp_path, clock, monkeypatch):
+    node = make_test_node(clock, state_dir=str(tmp_path))
+    other = make_test_node(clock, state_dir=str(tmp_path), seed=99)  # a second process
+    node.cast_vote(b"d" * 20, Polarity.NEGATIVE)
+    other.cast_vote(b"e" * 20, Polarity.POSITIVE)
+    node.reload_journal()
+    assert set(node.local_votes) == {b"d" * 20, b"e" * 20}
+    loads = []
+    monkeypatch.setattr(Journal, "load", lambda journal: loads.append(journal) or [])
+    node.reload_journal()
+    assert loads == []
 
 
 def test_vote_key_is_sha1_of_infohash():

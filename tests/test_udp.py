@@ -3,13 +3,15 @@ import os
 import random
 import selectors
 import socket
+import statistics
 import threading
 import time
 
 import pytest
 
 from dhtvote import krpc
-from dhtvote.node import NodeConfig, VoteNode, vote_key
+from dhtvote.cli import main
+from dhtvote.node import Journal, LocalVote, NodeConfig, VoteNode, vote_key
 from dhtvote.routing import Contact
 from dhtvote.store import Polarity
 from dhtvote.udp import UdpNodeRunner, UdpTransport
@@ -189,12 +191,52 @@ def test_cast_vote_during_a_round():
     assert len(client.node.local_votes) == 21
 
 
+def cli_vote(state_dir, peers: FakePeers, infohash: str) -> int:
+    host, port = peers.contacts[0].address
+    return main(["--timeout", "0.1", "vote", "--state-dir", str(state_dir), "--bootstrap",
+                 f"{host}:{port}", "--infohash", infohash, "--polarity", "-1"])
+
+
+def test_dhtvote_vote_announces_only_the_vote_it_casts(tmp_path, sent_requests, capsys):
+    journal = Journal(tmp_path)
+    for older in (b"\x01" * 20, b"\x02" * 20):
+        journal.append(LocalVote(older, Polarity.POSITIVE, 1700000000))
+    peers = FakePeers()
+    try:
+        assert cli_vote(tmp_path, peers, "34" * 20) == 0
+    finally:
+        peers.close()
+    assert capsys.readouterr().out == f"announced to {FAKE_PEERS} replicas\n"
+    assert [kind for kind, _ in sent_requests].count("announce_vote") == FAKE_PEERS
+    assert "find_node" not in [kind for kind, _ in sent_requests]
+    assert {target for _, target in sent_requests} == {None, vote_key(b"\x34" * 20)}
+
+
+def test_round_announces_a_vote_that_dhtvote_vote_cast(tmp_path, capsys):
+    """ROADMAP item 11's gate: `dhtvote vote` casts into a running node's state dir."""
+    peers = FakePeers()
+    runner = UdpNodeRunner(dataclasses.replace(
+        client_config([peers.contacts[0].address]), state_dir=str(tmp_path)
+    ))
+    try:
+        runner.start()
+        assert runner.announce_round() == {}
+        assert cli_vote(tmp_path, peers, "56" * 20) == 0
+        report = runner.announce_round()
+    finally:
+        runner.stop()
+        peers.close()
+    assert capsys.readouterr().out == f"announced to {FAKE_PEERS} replicas\n"
+    assert list(report) == [b"\x56" * 20]
+    assert deliveries(report) == FAKE_PEERS
+
+
 def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time():
     """ROADMAP item 2's gate: 8 real nodes, 20 votes, about 100 pings/s."""
     servers = []
     client = None
-    stop_pinging = threading.Event()
-    pongs = []
+    stop_pinging, pinging = threading.Event(), threading.Event()
+    pongs, quiet, noisy = [], [], []
     try:
         for _ in range(8):
             bootstrap = [servers[0].local_address] if servers else []
@@ -207,27 +249,28 @@ def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time():
         for i in range(20):
             client.cast_vote(bytes([i + 1]) * 20, Polarity.POSITIVE)
 
-        def rounds():
-            """The median time of three rounds that each deliver everything."""
-            timings = []
-            for _ in range(3):
-                report, seconds = timed_round(client)
-                assert sorted(map(len, report.values())) == [8] * 20
-                assert deliveries(report) == 20 * 8
-                timings.append(seconds)
-            return sorted(timings)[1]
+        def delivered_round() -> float:
+            report, seconds = timed_round(client)
+            assert sorted(map(len, report.values())) == [8] * 20
+            assert deliveries(report) == 20 * 8
+            return seconds
 
         def ping():
             pinger = servers[0].node
             while not stop_pinging.wait(0.01):
-                query = krpc.ping_query(pinger._new_tid(), pinger.node_id)
-                pongs.append(pinger.send_query(client.local_address, query))
+                if pinging.is_set():
+                    query = krpc.ping_query(pinger._new_tid(), pinger.node_id)
+                    pongs.append(pinger.send_query(client.local_address, query))
 
-        quiet = rounds()
+        # quiet and noisy rounds alternate, so host contention falls on both
         ping_thread = threading.Thread(target=ping)
         ping_thread.start()
         try:
-            noisy = rounds()
+            for _ in range(9):
+                pinging.clear()
+                quiet.append(delivered_round())
+                pinging.set()
+                noisy.append(delivered_round())
         finally:
             stop_pinging.set()
             ping_thread.join(timeout=5.0)
@@ -238,7 +281,7 @@ def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time():
             if runner is not None:
                 runner.stop()
     assert pongs and all(pong is not None for pong in pongs)
-    assert noisy <= 2 * quiet
+    assert statistics.median(noisy) <= 2 * statistics.median(quiet)
 
 
 def test_run_forever_announces_each_period_until_stopped():
