@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import signal
+import socket
 import sys
 import threading
 from functools import partial
@@ -26,10 +27,15 @@ USAGE_ERROR = 2
 
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
+    """host:port with the host resolved once to an IPv4 address: a reply
+    is matched to its request by the address it comes from."""
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit() or not 0 < int(port) < 65536:
         raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
-    return (host, int(port))
+    try:
+        return (socket.gethostbyname(host), int(port))
+    except (OSError, UnicodeError):
+        raise argparse.ArgumentTypeError(f"cannot resolve host {host!r}")
 
 
 def _parse_infohash(text: str) -> bytes:

@@ -33,7 +33,7 @@ import struct
 from dataclasses import dataclass, field
 
 from . import bencode
-from .routing import ID_LENGTH
+from .routing import ID_LENGTH, Contact
 from .sketch import REGISTER_COUNT
 
 _COMPACT_CONTACT = struct.Struct("!20s4sH")  # 26 bytes: id, IPv4, port
@@ -131,14 +131,12 @@ def pack_contacts(contacts) -> bytes:
     return b"".join(pack(c.id, socket.inet_aton(c.ip), c.port) for c in contacts)
 
 
-def unpack_contacts(data: bytes) -> list[tuple[bytes, str, int]]:
-    """Compact node bytes -> list of (id, ip, port)."""
+def unpack_contacts(data: bytes) -> list[Contact]:
+    """Compact node bytes -> contacts; the inverse of pack_contacts."""
     if len(data) % _COMPACT_CONTACT.size != 0:
         raise ProtocolError("compact node info not a multiple of 26 bytes")
-    return [
-        (node_id, socket.inet_ntoa(ip), port)
-        for node_id, ip, port in _COMPACT_CONTACT.iter_unpack(data)
-    ]
+    return [Contact(node_id, socket.inet_ntoa(ip), port)
+            for node_id, ip, port in _COMPACT_CONTACT.iter_unpack(data)]
 
 
 # ---------------------------------------------------------------------------

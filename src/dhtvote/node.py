@@ -16,15 +16,17 @@ one announce_vote per replica.
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import os
 import secrets
 import socket
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from hashlib import sha1
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from . import krpc
 from .krpc import ProtocolError, Query, Response, ErrorMessage
@@ -123,6 +125,13 @@ class Journal:
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / JOURNAL_FILENAME
         self.loaded_size = 0  # the file's size when load() last read it
+
+    @contextmanager
+    def locked(self) -> Iterator[None]:
+        """Hold an exclusive lock on the file; another process that asks for it waits."""
+        with open(self.path, "ab") as fh:  # closing it releases the lock
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            yield
 
     def append(self, vote: LocalVote) -> None:
         line = f"{vote.info_hash.hex()},{vote.polarity.value:+d},{vote.created_at}\n"
@@ -340,14 +349,10 @@ class VoteNode:
         if not isinstance(nodes, bytes):
             return None
         try:
-            unpacked = krpc.unpack_contacts(nodes)
+            contacts = krpc.unpack_contacts(nodes)
         except ProtocolError:
             return None
-        return [
-            Contact(nid, ip, port)
-            for nid, ip, port in unpacked
-            if nid != self.node_id
-        ]
+        return [contact for contact in contacts if contact.id != self.node_id]
 
     def lookup(self, target: bytes) -> list[Contact]:
         """Iterative find_node lookup of the k closest responsive contacts."""
@@ -425,16 +430,21 @@ class VoteNode:
     def cast_vote(self, info_hash: bytes, polarity: Polarity) -> str:
         """Register this user's own vote; 'accepted' or 'already-voted'.
 
-        A vote can be set once per document and is permanent.
+        A vote can be set once per document and is permanent, also across
+        processes that share the state directory.
         """
         if len(info_hash) != ID_LENGTH:
             raise ValueError("info-hash must be 20 bytes")
-        if info_hash in self.local_votes:
-            return "already-voted"
-        vote = LocalVote(info_hash, polarity, int(self.clock()))
-        if self.journal is not None:
-            self.journal.append(vote)
-        self.local_votes[info_hash] = vote
+        # Under the journal's lock, another process's cast of this info-hash
+        # is either in the file by now or waits until ours is.
+        with self.journal.locked() if self.journal is not None else nullcontext():
+            self.reload_journal()
+            if info_hash in self.local_votes:
+                return "already-voted"
+            vote = LocalVote(info_hash, polarity, int(self.clock()))
+            if self.journal is not None:
+                self.journal.append(vote)
+            self.local_votes[info_hash] = vote
         return "accepted"
 
     def announce_vote_to(self, contact: Contact, key: bytes, vote_value: int) -> bool:

@@ -182,11 +182,9 @@ class MaliciousPeer:
         if self.strategy == "silent":
             return None
         reply = self.node.handle_datagram(data, source)
-        # the node replies only to a query it could decode
-        if reply is None or krpc.decode_message(data).method != "get_votes":
-            return reply
-        response = krpc.decode_message(reply)
-        if not isinstance(response, krpc.Response):
+        response = None if reply is None else krpc.decode_message(reply)
+        # of the four replies, only get_votes' carries a token
+        if not isinstance(response, krpc.Response) or b"token" not in response.values:
             return reply
         values = response.values
         if self.strategy == "inflate-registers":

@@ -1,15 +1,17 @@
 """Real UDP transport and the long-running node wrapper.
 
 One receive thread demultiplexes the socket: inbound queries go to the
-node's ``handle_datagram``, as in the simulator, and inbound responses are
-matched to waiting requests by (address, transaction id). It takes no
-lock but the routing table's, so neither a lookup nor a journal sync
-delays an answer. A round announces up to ``alpha`` votes at once.
+node's ``handle_datagram``, as in the simulator, and each inbound response
+goes to the queue of the request waiting on its source address and
+transaction id, so a request must name its peer by IP, not host name. It
+takes no lock but the routing table's, so neither a lookup nor a journal
+sync delays an answer. A round announces up to ``alpha`` votes at once.
 """
 
 from __future__ import annotations
 
 import logging
+import queue
 import socket
 import threading
 import time
@@ -38,7 +40,7 @@ class UdpTransport:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(bind)
         self._sock.settimeout(0.2)
-        self._pending: dict[tuple[Address, bytes], "_Waiter"] = {}
+        self._pending: dict[tuple[Address, bytes], queue.SimpleQueue] = {}
         self._lock = threading.Lock()
         self._running = False
         self._thread: threading.Thread | None = None
@@ -66,24 +68,21 @@ class UdpTransport:
         self._sock.close()
 
     def request(self, address: Address, data: bytes, kind: str) -> bytes | None:
-        try:
-            tid = krpc.decode_message(data).tid
-        except Exception:
-            raise ValueError("request payload is not a KRPC message")
-        key = (address, tid)
-        waiter = _Waiter()
+        key = (address, krpc.decode_message(data).tid)
+        replies = queue.SimpleQueue()  # a reply, or None for an error reply
         with self._lock:
             if key in self._pending:
                 return None  # its reply could not be told from the other's
-            self._pending[key] = waiter
+            self._pending[key] = replies
         try:
             for _ in range(self.retries + 1):
                 try:
                     self._sock.sendto(data, address)
+                    return replies.get(timeout=self.timeout)
+                except queue.Empty:
+                    continue
                 except OSError:
                     return None
-                if waiter.event.wait(self.timeout):
-                    return waiter.reply
             return None
         finally:
             with self._lock:
@@ -117,18 +116,9 @@ class UdpTransport:
                     pass
         else:
             with self._lock:
-                waiter = self._pending.get((source, message.tid))
-            if waiter is not None:
-                waiter.reply = data if isinstance(message, krpc.Response) else None
-                waiter.event.set()
-
-
-class _Waiter:
-    __slots__ = ("event", "reply")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.reply: bytes | None = None
+                replies = self._pending.get((source, message.tid))
+            if replies is not None:
+                replies.put(data if isinstance(message, krpc.Response) else None)
 
 
 class UdpNodeRunner:

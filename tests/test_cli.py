@@ -121,6 +121,32 @@ def test_bad_infohash_is_usage_error(capsys):
     assert exit_info.value.code == 2
 
 
+def test_get_bootstraps_by_host_name(live_network, capsys):
+    """A reply comes from the resolved address, so the name must not stay."""
+    port = live_network[0].local_address[1]
+    rc = main(["--timeout", "0.2", "get", "--bootstrap", f"localhost:{port}",
+               "--infohash", "ef" * 20, "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["responders"] >= 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["get", "--bootstrap", "router.example.net:6881", "--infohash", INFOHASH],
+    ["run", "--state-dir", "{tmp}", "--bind", "router.example.net:6881"],
+])
+def test_unresolvable_host_is_usage_error(flags, tmp_path, monkeypatch, capsys):
+    def gethostbyname(host):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socket, "gethostbyname", gethostbyname)
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag.format(tmp=tmp_path) for flag in flags])
+    assert exit_info.value.code == 2
+    refused = flags[flags.index("router.example.net:6881") - 1]
+    err = capsys.readouterr().err
+    assert f"argument {refused}: cannot resolve host 'router.example.net'" in err
+
+
 def test_bad_endpoint_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--timeout", "0.2", "get", "--bootstrap", "nowhere", "--infohash", INFOHASH])

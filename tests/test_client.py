@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dhtvote import client
+from dhtvote import client, krpc
 from dhtvote.client import fetch_votes, robust_combine
 from dhtvote.sim import ScenarioConfig, SimWorld
 from dhtvote.sketch import HllSketch
@@ -147,6 +147,44 @@ def test_fetch_with_inflating_minority_stays_honest(small_world, monkeypatch):
     finally:
         for peer in replicas[:3]:
             small_world.network.peers[peer.address] = peer.node
+
+
+class ShortSketch:
+    """A replica whose vp sketch is one byte short of 256."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def handle_datagram(self, data, source):
+        reply = krpc.decode_message(self.node.handle_datagram(data, source))
+        if b"vp" in reply.values:
+            reply.values[b"vp"] = reply.values[b"vp"][:-1]
+        return krpc.encode_message(reply)
+
+
+def test_fetch_skips_a_replica_with_a_malformed_sketch(small_world, monkeypatch):
+    from dhtvote.node import vote_key
+    from dhtvote.routing import distance
+
+    info_hash = small_world.documents[2]
+    key = vote_key(info_hash)
+    short = min(small_world.peers, key=lambda p: distance(p.node.node_id, key))
+    small_world.network.peers[short.address] = ShortSketch(short.node)
+    combined = []
+    combine = client.robust_combine
+
+    def counted(sketches):
+        combined.append(len(sketches))
+        return combine(sketches)
+
+    monkeypatch.setattr(client, "robust_combine", counted)
+    try:
+        result = fetch_votes(small_world.make_observer(), info_hash)
+    finally:
+        small_world.network.peers[short.address] = short.node
+    assert result.responders == 8
+    assert combined == [7, 7]
+    assert abs(result.positive_count - 12) / 12 <= 0.2
 
 
 def test_fetch_ignores_sketches_outside_the_replica_set(small_world, monkeypatch):

@@ -1,6 +1,8 @@
+import fcntl
 import os
 import random
 import stat
+import threading
 from hashlib import sha1
 
 import pytest
@@ -9,7 +11,7 @@ from dhtvote import krpc
 from dhtvote.node import (
     Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address, vote_key,
 )
-from dhtvote.routing import Contact, distance
+from dhtvote.routing import Contact, LookupFailedError, distance
 from dhtvote.sim import ScenarioConfig, SimWorld
 from dhtvote.store import Polarity
 
@@ -105,7 +107,7 @@ def test_find_node_returns_closest(clock):
     reply = send(node, krpc.find_node_query(b"fn", SENDER_ID, TARGET))
     nodes = krpc.unpack_contacts(reply.values[b"nodes"])
     expected = [c.id for c in node.routing.closest(TARGET)]
-    assert [n[0] for n in nodes] == expected
+    assert [n.id for n in nodes] == expected
     assert len(reply.values[b"nodes"]) % 26 == 0
 
 
@@ -206,6 +208,18 @@ def test_get_votes_with_other_nv_values_acts_as_without(clock, value):
     assert b"token" in reply.values and b"vp" in reply.values
 
 
+def test_handler_that_raises_gives_a_server_error(clock, monkeypatch):
+    node = make_test_node(clock)
+
+    def handle_query(query, source):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(node, "handle_query", handle_query)
+    reply = send(node, krpc.ping_query(b"aa", SENDER_ID))
+    assert isinstance(reply, krpc.ErrorMessage)
+    assert (reply.tid, reply.code) == (b"aa", krpc.SERVER_ERROR)
+
+
 def test_handler_drops_garbage_and_responses(clock):
     node = make_test_node(clock)
     assert node.handle_datagram(b"\xff\x00garbage", SOURCE) is None
@@ -294,6 +308,35 @@ def test_restart_preserves_votes_and_blocks_revote(tmp_path, clock):
     assert reloaded.local_votes[info_hash].polarity == Polarity.NEGATIVE
 
 
+def test_second_node_on_one_state_dir_cannot_cast_again(tmp_path, clock):
+    """Two processes on one state dir, both started before either casts."""
+    first = make_test_node(clock, state_dir=str(tmp_path))
+    second = make_test_node(clock, state_dir=str(tmp_path), seed=99)
+    info_hash = b"d" * 20
+    assert first.cast_vote(info_hash, Polarity.POSITIVE) == "accepted"
+    assert second.cast_vote(info_hash, Polarity.NEGATIVE) == "already-voted"
+    assert len((tmp_path / "votes.log").read_text().splitlines()) == 1
+    assert second.local_votes[info_hash].polarity == Polarity.POSITIVE
+
+
+def test_cast_waits_for_the_journal_lock(tmp_path, clock):
+    node = make_test_node(clock, state_dir=str(tmp_path))
+    verdicts = []
+    cast = threading.Thread(
+        target=lambda: verdicts.append(node.cast_vote(b"d" * 20, Polarity.POSITIVE))
+    )
+    with open(node.journal.path, "ab") as held:  # as another process would
+        fcntl.flock(held.fileno(), fcntl.LOCK_EX)
+        cast.start()
+        cast.join(timeout=0.3)
+        assert cast.is_alive() and verdicts == []
+        assert node.journal.path.read_text() == ""
+    cast.join(timeout=5.0)
+    assert not cast.is_alive()
+    assert verdicts == ["accepted"]
+    assert len(node.journal.load()) == 1
+
+
 def test_reload_journal_takes_in_votes_only_from_a_changed_file(tmp_path, clock, monkeypatch):
     node = make_test_node(clock, state_dir=str(tmp_path))
     other = make_test_node(clock, state_dir=str(tmp_path), seed=99)  # a second process
@@ -317,12 +360,66 @@ def test_vote_key_is_sha1_of_infohash():
 
 
 class StubTransport:
-    def __init__(self, reply):
+    """Answers every query with ``{id: reply}`` and any other ``values``."""
+
+    def __init__(self, reply, values=None):
         self.reply = reply
+        self.values = values or {}
 
     def request(self, address, data, kind):
         query = krpc.decode_message(data)
-        return krpc.encode_message(krpc.ping_response(query.tid, self.reply))
+        return krpc.encode_message(
+            krpc.Response(query.tid, {b"id": self.reply, **self.values})
+        )
+
+
+class RawTransport:
+    """Answers every query with the same bytes."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def request(self, address, data, kind):
+        return self.raw
+
+
+def test_send_query_takes_only_a_response_to_its_own_tid(clock):
+    node = make_test_node(clock)
+    query = krpc.ping_query(b"pq", node.node_id)
+    for raw in (
+        b"\xffgarbage",
+        krpc.encode_message(krpc.ErrorMessage(b"pq", krpc.SERVER_ERROR, "internal error")),
+        krpc.encode_message(krpc.ping_response(b"xx", SENDER_ID)),
+    ):
+        node.transport = RawTransport(raw)
+        assert node.send_query(SOURCE, query) is None
+    node.transport = RawTransport(krpc.encode_message(krpc.ping_response(b"pq", SENDER_ID)))
+    assert node.send_query(SOURCE, query).values == {b"id": SENDER_ID}
+
+
+def test_reply_without_well_formed_nodes_is_not_a_responder(clock):
+    node = make_test_node(clock)
+    peer = Contact(b"p" * 20, "10.0.0.12", 6881)
+    node.routing.insert(peer)
+    for values in ({}, {b"nodes": b"x" * 25}):
+        node.transport = StubTransport(peer.id, values)
+        with pytest.raises(LookupFailedError):
+            node.lookup(TARGET)
+    node.transport = StubTransport(peer.id, {b"nodes": b""})
+    assert [contact.id for contact in node.lookup(TARGET)] == [peer.id]
+
+
+def test_announce_round_sends_no_announce_vote_without_a_token(clock):
+    node = make_test_node(clock)
+    info_hash = b"h" * 20
+    node.cast_vote(info_hash, Polarity.POSITIVE)
+    assert node.announce_round() == {info_hash: []}  # the lookup failed: no contact
+    peer = Contact(b"p" * 20, "10.0.0.12", 6881)
+    node.routing.insert(peer)
+    recorder = node.transport = Recorder(StubTransport(peer.id, {b"nodes": b""}))
+    report = node.announce_round()
+    assert [(contact.id, ok) for contact, ok in report[info_hash]] == [(peer.id, False)]
+    assert [query.method for _, query, _ in recorder.sent] == ["get_votes"]
 
 
 def test_reply_from_another_id_replaces_the_expected_one(clock):

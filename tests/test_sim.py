@@ -1,15 +1,19 @@
 import hashlib
+import random
 
 import pytest
 
 from conftest import FakeClock, make_test_node
 from dhtvote import krpc
+from dhtvote.node import NodeConfig
 from dhtvote.sim import (
     MALICE_STRATEGIES,
+    SIM_PORT,
     AnnounceEvent,
     MaliciousPeer,
     ScenarioConfig,
     SimWorld,
+    VirtualNetwork,
     replay_oracle,
     run_scenario,
 )
@@ -98,6 +102,15 @@ def test_malicious_peer_corrupts_only_get_votes_sketches():
         assert values == honest_values, strategy
 
 
+def test_silent_peer_costs_every_try_and_no_response():
+    network = VirtualNetwork(random.Random(0))
+    silent = ("10.0.0.1", SIM_PORT)
+    network.peers[silent] = MaliciousPeer(make_test_node(FakeClock()), "silent")
+    ping = krpc.encode_message(krpc.ping_query(b"pi", b"\x01" * 20))
+    assert network.request(("10.0.0.2", SIM_PORT), silent, ping, "ping") is None
+    assert network.datagrams == {"ping:query": NodeConfig.query_retries + 1}
+
+
 def test_replay_oracle_window_and_distinctness():
     assert replay_oracle([], 0.0) == {}
     events = [
@@ -117,8 +130,6 @@ def test_replay_oracle_window_and_distinctness():
 
 
 def test_replay_oracle_matches_brute_force_set_scan():
-    import random
-
     rng = random.Random(8)
     events = [
         AnnounceEvent(
