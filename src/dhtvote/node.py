@@ -4,8 +4,9 @@ The node core is transport-agnostic. A transport only has to provide
 ``request(address, data, kind) -> reply bytes or None`` (blocking, with its
 own timeout/retry policy); both the real UDP transport and the simulator's
 virtual network satisfy that. The clock is injectable for the same reason:
-hour blocks, token rotation, and announce scheduling must all be testable
-without waiting on wall time.
+the store's 24-hour window, token rotation, and announce scheduling must all
+be testable without waiting on wall time. No two of the node's pending
+requests hold the same transaction id.
 
 Incoming votes are always recorded against the observed UDP source IP,
 never anything claimed in the message; the get_votes/announce_vote token
@@ -210,8 +211,9 @@ class VoteNode:
     server side alone owns the store and token issuer, the client side the
     local votes and journal, and the caller serializes each side: the UDP
     runner on one receive thread and one cast lock, the simulator on one
-    thread. One announce_round may run its votes' tasks concurrently;
-    rounds must not overlap, because they share the announce tokens.
+    thread. One announce_round may run its votes' tasks concurrently, so
+    the transaction ids they hold are claimed in one atomic step. Rounds
+    must not overlap, because they share the announce tokens.
     """
 
     def __init__(
@@ -232,6 +234,7 @@ class VoteNode:
         self.tokens = TokenIssuer(clock, rand_bytes)
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
+        self._tids: dict[bytes, Query] = {}  # tid -> the query send_query is sending with it
         # replica id -> token, from the get_votes replies of the running
         # announce round's lookups; read by announce_vote_to
         self._announce_tokens: dict[bytes, object] = {}
@@ -305,8 +308,16 @@ class VoteNode:
         return self._rand(2)
 
     def send_query(self, address: Address, query: Query) -> Response | None:
-        """Send one query and wait; None on timeout or error reply."""
-        raw = self.transport.request(address, krpc.encode_message(query), query.method)
+        """Send one query and wait; None on timeout or error reply.
+
+        A query whose tid another pending request holds gets a new random tid.
+        """
+        while self._tids.setdefault(query.tid, query) is not query:  # an atomic test-and-set
+            query = Query(self._new_tid(), query.method, query.args)
+        try:
+            raw = self.transport.request(address, krpc.encode_message(query), query.method)
+        finally:
+            del self._tids[query.tid]
         if raw is None:
             return None
         try:
@@ -344,7 +355,7 @@ class VoteNode:
         return None
 
     def _reply_contacts(self, reply: Response) -> list[Contact] | None:
-        """The contacts in a find_node/get_votes reply; None if malformed."""
+        """The first k contacts in a find_node/get_votes reply; None if malformed."""
         nodes = reply.values.get(b"nodes")
         if not isinstance(nodes, bytes):
             return None
@@ -352,7 +363,8 @@ class VoteNode:
             contacts = krpc.unpack_contacts(nodes)
         except ProtocolError:
             return None
-        return [contact for contact in contacts if contact.id != self.node_id]
+        # an honest reply names at most k; more would only lengthen the lookup
+        return [contact for contact in contacts[: self.config.k] if contact.id != self.node_id]
 
     def lookup(self, target: bytes) -> list[Contact]:
         """Iterative find_node lookup of the k closest responsive contacts."""

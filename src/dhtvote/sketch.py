@@ -13,6 +13,7 @@ a full get_votes response inside a single UDP datagram.
 from __future__ import annotations
 
 import math
+import struct
 from hashlib import sha1
 from typing import Iterable
 
@@ -24,10 +25,19 @@ _ALPHA = 0.7213 / (1 + 1.079 / REGISTER_COUNT)
 _TWO_POW_32 = 1 << 32
 # 2^-r for any byte value; wire-lenient sketches may carry registers above 33.
 _INV_POW2 = tuple(2.0 ** -r for r in range(256))
+_INDEX_AND_BITS = struct.Struct(">BI").unpack_from  # digest byte 0, then bytes 1-4
 
 
 class MalformedSketchError(ValueError):
     """Serialized sketch does not hold exactly 256 registers."""
+
+
+def register_of(item: bytes) -> tuple[int, int]:
+    """The (index, rank) that one item sets; every sketch and store hashes here."""
+    if not item:
+        raise ValueError("cannot add an empty item")
+    index, bits = _INDEX_AND_BITS(sha1(item).digest())
+    return index, MAX_RANK - bits.bit_length()  # leading zeros of the 32 bits, plus 1
 
 
 def checked_registers(sketches: Iterable["HllSketch"]) -> list[bytearray]:
@@ -59,12 +69,7 @@ class HllSketch:
 
     def add(self, item: bytes) -> None:
         """Record one item (a voter's 4-byte IPv4 address, in this protocol)."""
-        if not item:
-            raise ValueError("cannot add an empty item")
-        digest = sha1(item).digest()
-        index = digest[0]
-        w = int.from_bytes(digest[1:5], "big")
-        rank = MAX_RANK - w.bit_length()  # leading zeros of 32-bit w, plus 1
+        index, rank = register_of(item)
         if rank > self.registers[index]:
             self.registers[index] = rank
 

@@ -5,6 +5,8 @@ runs the instrumentation over one announce and one fetch on a small world
 and checks that it undoes itself.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from dhtvote import client, krpc, node, routing, sim, sketch, store, udp
 from dhtvote.node import NodeConfig
 from dhtvote.sim import ScenarioConfig, SimWorld
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 # every module and class whose attributes the benchmark replaces
 OWNERS = (
@@ -102,3 +105,15 @@ def test_class_patch_after_start_sees_udp_queries(monkeypatch):
         runner.stop()
     assert reply is not None
     assert calls == [runner.node]
+
+
+def test_traced_benchmark_run_ends_correct():
+    """The traced run end to end: every wrapper, then the per-layer metrics."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sim-fetch", "--seed", "1",
+         "--seconds", "0.75", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["correct"] is True

@@ -2,7 +2,9 @@ import fcntl
 import os
 import random
 import stat
+import sys
 import threading
+import time
 from hashlib import sha1
 
 import pytest
@@ -486,6 +488,78 @@ class Recorder:
         reply = self.inner.request(address, data, kind)
         self.sent.append((address, krpc.decode_message(data), reply))
         return reply
+
+
+class OnePeer:
+    """Answers queries at one contact's address only, naming the same nodes."""
+
+    def __init__(self, peer, nodes):
+        self.peer, self.nodes = peer, nodes
+
+    def request(self, address, data, kind):
+        if address != self.peer.address:
+            return None
+        query = krpc.decode_message(data)
+        return krpc.encode_message(krpc.Response(
+            query.tid, {b"id": self.peer.id, b"token": b"t" * 8, b"nodes": self.nodes}
+        ))
+
+
+class TidChecker:
+    """Fails any request whose tid another pending request holds."""
+
+    def __init__(self):
+        self.pending, self.clashes, self.lock = set(), [], threading.Lock()
+
+    def request(self, address, data, kind):
+        tid = krpc.decode_message(data).tid
+        with self.lock:
+            if tid in self.pending:
+                self.clashes.append(tid)
+            self.pending.add(tid)
+        time.sleep(0)  # let another request start while this one is pending
+        with self.lock:
+            self.pending.discard(tid)
+        return None
+
+
+def test_concurrent_queries_never_hold_one_tid(clock):
+    """Eight threads on two cores draw tids from 16 values; none is pending twice."""
+    rng = random.Random(4)
+    node = VoteNode(NodeConfig(), TidChecker(), clock=clock, node_id=b"\x01" * 20,
+                    rand_bytes=lambda n: bytes([0, rng.randrange(16)]) if n == 2 else bytes(n))
+
+    def ping_many():
+        for _ in range(300):
+            node.send_query(SOURCE, krpc.ping_query(node._new_tid(), node.node_id))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ping_many) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert node.transport.clashes == [] and node._tids == {}
+
+
+def test_one_reply_adds_at_most_k_contacts_to_a_lookup(clock):
+    """ROADMAP item 13: a get_votes reply that names 70 contacts nearer the
+    key, at addresses nobody serves, gets at most k of them queried."""
+    node = make_test_node(clock)
+    peer = Contact(b"p" * 20, "10.0.0.12", 6881)
+    node.routing.insert(peer)
+    unserved = [Contact(TARGET[:18] + n.to_bytes(2, "big"), "10.1.0.%d" % n, 6881)
+                for n in range(1, 71)]
+    recorder = node.transport = Recorder(OnePeer(peer, krpc.pack_contacts(unserved)))
+    replicas = node.get_votes_lookup(TARGET)
+    assert [contact.id for contact, _ in replicas] == [peer.id]
+    queried = [address for address, _, _ in recorder.sent if address != peer.address]
+    assert 0 < len(queried) <= node.config.k
 
 
 def voting_world(seed=7):

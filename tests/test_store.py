@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dhtvote.sketch import HllSketch
-from dhtvote.store import Polarity, VoteStore
+from dhtvote.sketch import REGISTER_COUNT, HllSketch, register_of
+from dhtvote.store import EMPTY, WINDOW_HOURS, Polarity, VoteStore
 
 KEY = b"k" * 20
 HOUR = 3600
@@ -77,7 +77,9 @@ def test_aggregate_of_all_24_live_blocks_is_exact():
             store.record(KEY, polarity, ip(hour * 5 + n), now=hour * HOUR + n)
             exact[polarity].add(ip(hour * 5 + n))
     now = 23 * HOUR + 10
-    assert len(store._rings[KEY].in_window(now // HOUR)) == 24
+    ring = store._rings[KEY]
+    held = {ring.base + age for age in ring.age if age != EMPTY}
+    assert min(held) == 0 and max(held) == 23  # the first and the last hour are both read
     assert store.aggregate(KEY, now) == (exact[Polarity.POSITIVE], exact[Polarity.NEGATIVE])
 
 
@@ -124,7 +126,8 @@ def test_expired_key_written_again_holds_only_the_new_vote():
     only = VoteStore()
     only.record(KEY, Polarity.NEGATIVE, ip(3), now=30 * HOUR)
     assert store.aggregate(KEY, 30 * HOUR) == only.aggregate(KEY, 30 * HOUR)
-    assert store._rings[KEY].blocks.count(None) == 23
+    ring = store._rings[KEY]
+    assert sum(map(bool, ring.rank)) == 1 and not ring.tails  # one pair, the new vote's
 
 
 def test_second_write_in_an_hour_drops_nothing():
@@ -212,3 +215,102 @@ def test_aggregate_matches_event_log_rebuild():
 def test_max_keys_must_be_positive():
     with pytest.raises(ValueError):
         VoteStore(max_keys=0)
+
+
+def union_of_writes(writes, key, now_hour) -> tuple[HllSketch, HllSketch]:
+    """Brute force: one sketch per polarity over key's writes in the window."""
+    sketches = {Polarity.POSITIVE: HllSketch(), Polarity.NEGATIVE: HllSketch()}
+    for polarity, voter, hour in writes.get(key, ()):
+        if hour > now_hour - WINDOW_HOURS:
+            sketches[polarity].add(voter)
+    return sketches[Polarity.POSITIVE], sketches[Polarity.NEGATIVE]
+
+
+@pytest.mark.parametrize("steps_back", [False, True])
+def test_random_schedule_matches_a_union_of_the_writes_in_the_window(steps_back):
+    """Reads come at or after the latest hour written so far; with steps_back,
+    a third of the hours go back up to 40 hours, past the window."""
+    rng = random.Random(21 + steps_back)
+    store = VoteStore()
+    keys = [rng.randbytes(20) for _ in range(50)]
+    voters = [rng.randbytes(4) for _ in range(400)]
+    writes: dict[bytes, list] = {}
+    latest = 0
+    for _ in range(72):
+        if steps_back and rng.random() < 1 / 3:
+            hour = max(0, latest - rng.randrange(1, 41))
+        else:
+            hour = latest + rng.randrange(0, 3)
+        for _ in range(rng.randrange(0, 120)):
+            key, voter = rng.choice(keys), rng.choice(voters)
+            polarity = rng.choice([Polarity.POSITIVE, Polarity.NEGATIVE])
+            store.record(key, polarity, voter, hour * HOUR + rng.randrange(HOUR))
+            writes.setdefault(key, []).append((polarity, voter, hour))
+        latest = max(latest, hour)
+        for now_hour in (latest, latest + rng.randrange(1, 30)):
+            for key in keys:
+                assert store.aggregate(key, now_hour * HOUR + 1) == union_of_writes(
+                    writes, key, now_hour
+                )
+    assert latest >= 48
+
+
+def test_hourly_reannounces_leave_one_pair_per_written_register():
+    rng = random.Random(3)
+    voters = [(rng.randbytes(4), rng.choice([Polarity.POSITIVE, Polarity.NEGATIVE]))
+              for _ in range(50)]
+    store = VoteStore()
+    for hour in range(48):
+        rng.shuffle(voters)
+        for voter, polarity in voters:
+            store.record(KEY, polarity, voter, hour * HOUR + 7)
+    written = {
+        register_of(voter)[0] + (REGISTER_COUNT if polarity is Polarity.NEGATIVE else 0)
+        for voter, polarity in voters
+    }
+    ring = store._rings[KEY]
+    assert {index for index, rank in enumerate(ring.rank) if rank} == written
+    assert ring.tails == {}
+    assert {ring.base + ring.age[index] for index in written} == {47}
+
+
+def test_write_after_the_clock_steps_back_keeps_the_later_vote():
+    """Hours 30 and 6 are 24 apart: a ring slot per hour mod 24 would let the
+    hour-6 write reset the hour-30 votes while they are still in the window."""
+    store = VoteStore()
+    store.record(KEY, Polarity.POSITIVE, ip(1), now=30 * HOUR)
+    store.record(KEY, Polarity.POSITIVE, ip(2), now=6 * HOUR)  # the clock stepped back
+    expected = HllSketch()
+    expected.add(ip(1))
+    assert store.aggregate(KEY, 30 * HOUR)[0] == expected
+    expected.add(ip(2))
+    assert store.aggregate(KEY, 6 * HOUR)[0] == expected
+
+
+def test_write_days_before_a_key_restarts_its_window():
+    store = VoteStore()
+    store.record(KEY, Polarity.POSITIVE, ip(1), now=1000 * HOUR)
+    store.record(KEY, Polarity.NEGATIVE, ip(2), now=500 * HOUR)  # the clock stepped back 3 weeks
+    only = VoteStore()
+    only.record(KEY, Polarity.NEGATIVE, ip(2), now=500 * HOUR)
+    for now in (500 * HOUR, 1000 * HOUR):
+        assert store.aggregate(KEY, now) == only.aggregate(KEY, now)
+    assert store._rings[KEY].newest == 500
+
+
+def test_window_holds_over_years_of_writes():
+    """Hours are kept as 8-bit ages from a per-key base that moves forward."""
+    rng = random.Random(8)
+    voters = [ip(n) for n in range(20)]
+    store = VoteStore()
+    writes: dict[bytes, list] = {}
+    hour = 0
+    while hour < 80_000:  # over 9 years, a write every 1 to 22 hours
+        polarity, voter = rng.choice([Polarity.POSITIVE, Polarity.NEGATIVE]), rng.choice(voters)
+        store.record(KEY, polarity, voter, hour * HOUR)
+        writes.setdefault(KEY, []).append((polarity, voter, hour))
+        if rng.random() < 0.02:
+            assert store.aggregate(KEY, hour * HOUR) == union_of_writes(writes, KEY, hour)
+        hour += rng.randrange(1, 23)
+    assert store.aggregate(KEY, hour * HOUR) == union_of_writes(writes, KEY, hour)
+    assert store._rings[KEY].base > 0

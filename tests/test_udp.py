@@ -333,13 +333,12 @@ def test_request_refuses_a_transaction_id_already_pending():
     peer.bind(("127.0.0.1", 0))
     peer.settimeout(2.0)
     transport = UdpTransport(("127.0.0.1", 0), timeout=0.5, retries=0)
-    # every transaction id is two zero bytes
-    node = VoteNode(NodeConfig(), transport, rand_bytes=lambda n: bytes(n), node_id=b"\x01" * 20)
     transport.start()
     first = []
+    query = krpc.encode_message(krpc.ping_query(b"\x00\x00", b"\x01" * 20))
 
-    def ping():
-        return node.send_query(peer.getsockname(), krpc.ping_query(node._new_tid(), node.node_id))
+    def ping():  # a VoteNode would give the second query a tid of its own
+        return transport.request(peer.getsockname(), query, "ping")
 
     thread = threading.Thread(target=lambda: first.append(ping()))
     try:
@@ -359,8 +358,46 @@ def test_request_refuses_a_transaction_id_already_pending():
         transport.stop()
         peer.close()
     [reply] = first
-    assert reply is not None and reply.values[b"id"] == b"\x02" * 20
+    assert reply is not None and krpc.decode_message(reply).values[b"id"] == b"\x02" * 20
     assert transport._pending == {}
+
+
+def test_concurrent_requests_that_draw_one_tid_are_both_delivered():
+    """ROADMAP item 2: two requests pending on one peer at once never share a
+    tid, though the random source repeats one; the node draws again."""
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(1.0)
+    tids = iter([b"\x00\x07", b"\x00\x07", b"\x00\x08"])
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0, retries=0)
+    node = VoteNode(NodeConfig(), transport, node_id=b"\x01" * 20,
+                    rand_bytes=lambda n: next(tids) if n == 2 else bytes(n))
+    transport.start()
+    replies = []
+
+    def ping():
+        query = krpc.ping_query(node._new_tid(), node.node_id)
+        replies.append(node.send_query(peer.getsockname(), query))
+
+    threads = [threading.Thread(target=ping) for _ in range(2)]
+    try:
+        for thread in threads:
+            thread.start()
+        # neither is answered before both have arrived, so both are pending at once
+        received = [peer.recvfrom(2048) for _ in threads]
+        for data, source in received:
+            tid = krpc.decode_message(data).tid
+            peer.sendto(krpc.encode_message(krpc.ping_response(tid, b"\x02" * 20)), source)
+        for thread in threads:
+            thread.join(timeout=2.0)
+    finally:
+        transport.stop()
+        peer.close()
+    assert sorted(krpc.decode_message(data).tid for data, _ in received) == [
+        b"\x00\x07", b"\x00\x08"
+    ]
+    assert len(replies) == 2 and all(reply is not None for reply in replies)
+    assert node._tids == {}
 
 
 def ping(pinger: UdpNodeRunner, address) -> krpc.Response | None:
