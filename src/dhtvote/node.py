@@ -56,7 +56,7 @@ class NodeConfig:
     bootstrap: list[Address] = field(default_factory=list)
     k: int = 8
     alpha: int = 3
-    announce_period: float = 1800.0  # must stay under one ring slot (1 h)
+    announce_period: float = 1800.0
     query_timeout: float = 2.0
     query_retries: int = 2
 
@@ -211,9 +211,9 @@ class VoteNode:
     server side alone owns the store and token issuer, the client side the
     local votes and journal, and the caller serializes each side: the UDP
     runner on one receive thread and one cast lock, the simulator on one
-    thread. One announce_round may run its votes' tasks concurrently, so
-    the transaction ids they hold are claimed in one atomic step. Rounds
-    must not overlap, because they share the announce tokens.
+    thread. Announce rounds, and the votes' tasks within one, may run
+    concurrently, so the transaction ids they hold are claimed in one atomic
+    step; each announce uses the token of its own lookup's reply.
     """
 
     def __init__(
@@ -235,9 +235,6 @@ class VoteNode:
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
         self._tids: dict[bytes, Query] = {}  # tid -> the query send_query is sending with it
-        # replica id -> token, from the get_votes replies of the running
-        # announce round's lookups; read by announce_vote_to
-        self._announce_tokens: dict[bytes, object] = {}
         self.reload_journal()
 
     # ------------------------------------------------------------------
@@ -459,19 +456,20 @@ class VoteNode:
             self.local_votes[info_hash] = vote
         return "accepted"
 
-    def announce_vote_to(self, contact: Contact, key: bytes, vote_value: int) -> bool:
-        """announce_vote with the token contact gave the announce lookup.
+    def announce_vote_to(
+        self, replica: tuple[Contact, Response], key: bytes, vote_value: int
+    ) -> bool:
+        """announce_vote with the token of a (contact, get_votes reply) pair
+        from get_votes_lookup.
 
         True on success; False without a token or on no/error reply.
         """
-        token = self._announce_tokens.get(contact.id)
+        contact, lookup_reply = replica
+        token = lookup_reply.values.get(b"token")
         if not isinstance(token, bytes) or not token:
             return False
-        reply = self._query_contact(
-            contact,
-            krpc.announce_vote_query(self._new_tid(), self.node_id, key, vote_value, token),
-        )
-        return reply is not None
+        query = krpc.announce_vote_query(self._new_tid(), self.node_id, key, vote_value, token)
+        return self._query_contact(contact, query) is not None
 
     def announce_round(
         self,
@@ -496,19 +494,11 @@ class VoteNode:
                 replicas = self.get_votes_lookup(key, no_votes=True)
             except LookupFailedError:
                 return vote.info_hash, []
-            # a token is bound to our address, not to the key, so the tasks
-            # of one round can share this dict
-            self._announce_tokens.update(
-                (contact.id, reply.values.get(b"token")) for contact, reply in replicas
-            )
             return vote.info_hash, [
-                (contact, self.announce_vote_to(contact, key, vote.polarity.value))
-                for contact, _ in replicas
+                (replica[0], self.announce_vote_to(replica, key, vote.polarity.value))
+                for replica in replicas
             ]
 
         if votes is None:
             votes = list(self.local_votes.values())
-        try:
-            return dict(map_tasks(announce, votes))
-        finally:
-            self._announce_tokens.clear()
+        return dict(map_tasks(announce, votes))

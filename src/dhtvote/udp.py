@@ -5,7 +5,8 @@ node's ``handle_datagram``, as in the simulator, and each inbound response
 goes to the queue of the request waiting on its source address and
 transaction id, so a request must name its peer by IP, not host name. It
 takes no lock but the routing table's, so neither a lookup nor a journal
-sync delays an answer. A round announces up to ``alpha`` votes at once.
+sync delays an answer. A round announces up to ``alpha`` votes at once, and
+rounds may overlap.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class UdpTransport:
         self._sock.bind(bind)
         self._sock.settimeout(0.2)
         self._pending: dict[tuple[Address, bytes], queue.SimpleQueue] = {}
-        self._lock = threading.Lock()
         self._running = False
         self._thread: threading.Thread | None = None
 
@@ -70,10 +70,8 @@ class UdpTransport:
     def request(self, address: Address, data: bytes, kind: str) -> bytes | None:
         key = (address, krpc.decode_message(data).tid)
         replies = queue.SimpleQueue()  # a reply, or None for an error reply
-        with self._lock:
-            if key in self._pending:
-                return None  # its reply could not be told from the other's
-            self._pending[key] = replies
+        if self._pending.setdefault(key, replies) is not replies:  # an atomic test-and-set
+            return None  # its reply could not be told from the other's
         try:
             for _ in range(self.retries + 1):
                 try:
@@ -85,8 +83,7 @@ class UdpTransport:
                     return None
             return None
         finally:
-            with self._lock:
-                self._pending.pop(key, None)
+            del self._pending[key]
 
     def _recv_loop(self) -> None:
         while self._running:
@@ -115,8 +112,7 @@ class UdpTransport:
                 except OSError:
                     pass
         else:
-            with self._lock:
-                replies = self._pending.get((source, message.tid))
+            replies = self._pending.get((source, message.tid))
             if replies is not None:
                 replies.put(data if isinstance(message, krpc.Response) else None)
 
@@ -125,11 +121,10 @@ class UdpNodeRunner:
     """A VoteNode bound to a real socket, with periodic announce rounds.
 
     The receive thread alone touches the node's store and token issuer, and
-    takes neither runner lock. ``_lock`` guards the local votes and journal:
-    a cast holds it across the journal's sync, a round only to reload a
-    changed journal and copy the votes. ``_round_lock`` keeps rounds one at
-    a time. Bootstrap, lookups and announces take no lock but the routing
-    table's own.
+    takes no runner lock. ``_lock`` guards the local votes and journal: a
+    cast holds it across the journal's sync, a round only to reload a
+    changed journal and copy the votes. Rounds may overlap. Bootstrap,
+    lookups and announces take no lock but the routing table's own.
     """
 
     def __init__(self, config: NodeConfig, node_id: bytes | None = None):
@@ -139,7 +134,6 @@ class UdpNodeRunner:
         )
         self.node = VoteNode(config, self.transport, node_id=node_id)
         self._lock = threading.Lock()
-        self._round_lock = threading.Lock()
         self.transport.handler = self.node
         self._stop = threading.Event()
 
@@ -161,14 +155,13 @@ class UdpNodeRunner:
 
     def announce_round(self):
         """One round over the local votes, up to alpha of them at once."""
-        with self._round_lock:
-            with self._lock:
-                self.node.reload_journal()  # takes in votes cast by `dhtvote vote`
-                votes = list(self.node.local_votes.values())
-            with ThreadPoolExecutor(
-                max_workers=self.config.alpha, thread_name_prefix="dhtvote-announce"
-            ) as pool:
-                return self.node.announce_round(votes, pool.map)
+        with self._lock:
+            self.node.reload_journal()  # takes in votes cast by `dhtvote vote`
+            votes = list(self.node.local_votes.values())
+        with ThreadPoolExecutor(
+            max_workers=self.config.alpha, thread_name_prefix="dhtvote-announce"
+        ) as pool:
+            return self.node.announce_round(votes, pool.map)
 
     def fetch_votes(self, info_hash: bytes) -> VoteResult:
         return fetch_votes(self.node, info_hash)

@@ -598,6 +598,31 @@ def test_announce_round_sends_no_get_votes_outside_its_lookup():
         assert round(peer.node.store.aggregate(key, world.time)[0].estimate()) == 1
 
 
+class StartsASecondRound:
+    """Transport wrapper whose first announce_vote request first runs a whole
+    second announce round of the same node, as a second thread could."""
+
+    def __init__(self, node):
+        self.node, self.inner = node, node.transport
+        self.started = False
+        self.second_report = None
+
+    def request(self, address, data, kind):
+        if kind == "announce_vote" and not self.started:
+            self.started = True  # the second round's own announces pass straight through
+            self.second_report = self.node.announce_round()
+        return self.inner.request(address, data, kind)
+
+
+def test_overlapping_rounds_each_announce_to_every_replica():
+    world, voter, key, replicas = voting_world()
+    wrapper = voter.transport = StartsASecondRound(voter)
+    first_report = voter.announce_round()
+    for report in (first_report, wrapper.second_report):
+        [deliveries] = report.values()
+        assert {c.address for c, ok in deliveries if ok} == {p.address for p in replicas}
+
+
 class IgnoresNv:
     """A replica that predates the nv argument: it always sends sketches."""
 

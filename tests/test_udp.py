@@ -4,6 +4,7 @@ import random
 import selectors
 import socket
 import statistics
+import sys
 import threading
 import time
 
@@ -161,6 +162,39 @@ def test_round_waits_on_its_votes_concurrently():
     assert deliveries(two) == 2 * FAKE_PEERS
     assert one_seconds >= client.config.query_timeout
     assert two_seconds < 1.5 * one_seconds
+
+
+def test_rounds_of_one_runner_may_overlap():
+    """Two rounds at once: both lookups end before either round announces,
+    and each round's announces use its own lookup's tokens."""
+    peers = FakePeers()
+    client = UdpNodeRunner(client_config([peers.contacts[0].address]))
+    both_looked_up = threading.Barrier(2, timeout=5.0)
+    get_votes_lookup = client.node.get_votes_lookup
+
+    def lookup_then_wait(key, no_votes=False):
+        replicas = get_votes_lookup(key, no_votes)
+        both_looked_up.wait()
+        return replicas
+
+    client.node.get_votes_lookup = lookup_then_wait
+    reports = []
+    rounds = [
+        threading.Thread(target=lambda: reports.append(client.announce_round()))
+        for _ in range(2)
+    ]
+    try:
+        client.start()
+        client.cast_vote(b"\x07" * 20, Polarity.POSITIVE)
+        for thread in rounds:
+            thread.start()
+        for thread in rounds:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in rounds)
+    finally:
+        client.stop()
+        peers.close()
+    assert [deliveries(report) for report in reports] == [FAKE_PEERS] * 2
 
 
 def test_cast_vote_during_a_round():
@@ -359,6 +393,47 @@ def test_request_refuses_a_transaction_id_already_pending():
         peer.close()
     [reply] = first
     assert reply is not None and krpc.decode_message(reply).values[b"id"] == b"\x02" * 20
+    assert transport._pending == {}
+
+
+def test_racing_requests_for_one_transaction_id_send_it_once():
+    """More threads than cores claim one (address, tid) at once, with a short
+    switch interval: one request is sent and the rest are refused unsent."""
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0, retries=0)
+    transport.start()
+    query = krpc.encode_message(krpc.ping_query(b"\x00\x00", b"\x01" * 20))
+    go = threading.Barrier(8, timeout=5.0)
+    replies = []
+
+    def ping():
+        go.wait()
+        replies.append(transport.request(peer.getsockname(), query, "ping"))
+
+    threads = [threading.Thread(target=ping) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        _, source = peer.recvfrom(2048)
+        deadline = time.monotonic() + 5.0
+        while len(replies) < 7 and time.monotonic() < deadline:
+            time.sleep(0.01)  # the refused requests return before any reply
+        peer.sendto(krpc.encode_message(krpc.ping_response(b"\x00\x00", b"\x02" * 20)), source)
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        peer.settimeout(0.05)
+        with pytest.raises(socket.timeout):
+            peer.recvfrom(2048)  # no second request was sent
+    finally:
+        sys.setswitchinterval(interval)
+        transport.stop()
+        peer.close()
+    assert replies[:7] == [None] * 7 and replies[7] is not None
     assert transport._pending == {}
 
 
