@@ -22,6 +22,7 @@ import logging
 import os
 import secrets
 import socket
+import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -39,7 +40,9 @@ from .store import Polarity, VoteStore
 log = logging.getLogger(__name__)
 
 TOKEN_ROTATION_SECONDS = 300  # previous secret stays valid one extra rotation
+SILENT_SECONDS = 900  # BEP 5's 15 minutes: an id whose query failed is skipped this long
 JOURNAL_FILENAME = "votes.log"
+_POLARITY = {polarity.value: polarity for polarity in Polarity}  # faster than Polarity(v)
 
 Address = tuple[str, int]
 Clock = Callable[[], float]
@@ -214,6 +217,8 @@ class VoteNode:
     thread. Announce rounds, and the votes' tasks within one, may run
     concurrently, so the transaction ids they hold are claimed in one atomic
     step; each announce uses the token of its own lookup's reply.
+    A contact whose query gets no usable reply leaves the routing table, and
+    lookups send its id nothing for SILENT_SECONDS, whichever reply names it.
     """
 
     def __init__(
@@ -235,6 +240,8 @@ class VoteNode:
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
         self._tids: dict[bytes, Query] = {}  # tid -> the query send_query is sending with it
+        self._silent: dict[bytes, float] = {}  # id -> when a query to it last failed
+        self._silent_lock = threading.Lock()  # held to change _silent, never to read it
         self.reload_journal()
 
     # ------------------------------------------------------------------
@@ -294,7 +301,7 @@ class VoteNode:
     def _handle_announce_vote(self, tid: bytes, fields: dict, source: Address) -> Response:
         if not self.tokens.valid(fields["token"], source):
             raise ProtocolError("invalid or expired token")
-        polarity = Polarity(fields["vote"])  # validate_query_args admits only 1 and -1
+        polarity = _POLARITY[fields["vote"]]  # validate_query_args admits only 1 and -1
         self.store.record(fields["target"], polarity, socket.inet_aton(source[0]), self.clock())
         return krpc.announce_vote_response(tid, self.node_id)
 
@@ -337,18 +344,23 @@ class VoteNode:
 
         A reply carrying another id means a different node now holds that
         address (the old one left): the expected id is dropped from the
-        routing table and the one that answered is inserted instead.
+        routing table and the one that answered is inserted instead. Any
+        other failed query, a timeout included, marks the expected id silent.
         """
         reply = self.send_query(contact.address, query)
         responder = self._responder_id(reply)
         if responder == contact.id:
             self.routing.insert(Contact(contact.id, contact.ip, contact.port))
             return reply
+        self.routing.remove(contact.id)
         if responder is not None:
-            self.routing.remove(contact.id)
             self.routing.insert(Contact(responder, contact.ip, contact.port))
-        else:
-            self.routing.note_failure(contact.id)
+            return None
+        with self._silent_lock:  # the marks of SILENT_SECONDS ago and before are forgotten
+            now = self.clock()
+            for old in [i for i, since in self._silent.items() if now - since >= SILENT_SECONDS]:
+                del self._silent[old]
+            self._silent[contact.id] = now
         return None
 
     def _reply_contacts(self, reply: Response) -> list[Contact] | None:
@@ -401,6 +413,9 @@ class VoteNode:
         replies: dict[bytes, Response] = {}
 
         def query(contact: Contact, target: bytes) -> list[Contact] | None:
+            if contact.id in self._silent:  # failed lately; a mark forgotten since reads -inf
+                if self.clock() - self._silent.get(contact.id, float("-inf")) < SILENT_SECONDS:
+                    return None  # don't wait on it again
             reply = self._query_contact(contact, make_query(self._new_tid(), target))
             found = None if reply is None else self._reply_contacts(reply)
             if found is not None:

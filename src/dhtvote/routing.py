@@ -30,7 +30,6 @@ class Contact:
     id: bytes
     ip: str
     port: int
-    failed_queries: int = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -69,8 +68,9 @@ class RoutingTable:
     def insert(self, contact: Contact) -> None:
         """Add contact, or refresh it and move it to its bucket's tail.
 
-        A full bucket takes a newcomer only in place of a contact that has
-        failed twice; otherwise the newcomer is dropped.
+        A full bucket drops the newcomer. A contact leaves the table only by
+        remove(), which the node calls when a query to it gets no usable
+        reply or another id answers at its address.
         """
         if contact.id == self.own_id:
             raise ValueError("cannot insert own id into routing table")
@@ -87,8 +87,6 @@ class RoutingTable:
                 if existing.port != contact.port or existing.ip != contact.ip:
                     existing.ip = contact.ip
                     existing.port = contact.port
-                if existing.failed_queries:
-                    existing.failed_queries = 0
                 if bucket[-1] is not existing:
                     for i, resident in enumerate(bucket):
                         if resident is existing:
@@ -99,22 +97,8 @@ class RoutingTable:
                 bucket.append(contact)
                 self._contacts[contact.id] = contact
                 self._occupied |= 1 << index
-                return
-            for i, resident in enumerate(bucket):
-                if resident.failed_queries >= 2:
-                    del self._contacts[resident.id]
-                    bucket.pop(i)
-                    bucket.append(contact)
-                    self._contacts[contact.id] = contact
-                    return
         finally:
             self._lock.release()
-
-    def note_failure(self, node_id: bytes) -> None:
-        with self._lock:
-            contact = self._contacts.get(node_id)
-            if contact is not None:
-                contact.failed_queries += 1
 
     def remove(self, node_id: bytes) -> None:
         index = self._bucket_index(node_id)

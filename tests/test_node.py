@@ -1,4 +1,5 @@
 import fcntl
+import itertools
 import os
 import random
 import stat
@@ -11,7 +12,8 @@ import pytest
 
 from dhtvote import krpc
 from dhtvote.node import (
-    Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address, vote_key,
+    SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
+    vote_key,
 )
 from dhtvote.routing import Contact, LookupFailedError, distance
 from dhtvote.sim import ScenarioConfig, SimWorld
@@ -433,14 +435,63 @@ def test_reply_from_another_id_replaces_the_expected_one(clock):
     assert node._query_contact(contact, krpc.ping_query(b"pq", node.node_id)) is None
     assert node.routing.get(old) is None
     assert node.routing.get(new).address == contact.address
-    node.transport = StubTransport(b"short")
-    fresh = Contact(b"f" * 20, "10.0.0.10", 6881)
-    node.routing.insert(fresh)
-    assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
-    assert node.routing.get(fresh.id).failed_queries == 1
-    node.transport = StubTransport(node.node_id)
-    assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
-    assert node.routing.get(fresh.id).failed_queries == 2
+    assert node._silent == {}  # the address answered
+    for bad in (b"short", node.node_id):  # no usable reply: dropped and marked silent
+        node.transport = StubTransport(bad)
+        fresh = Contact(b"f" * 20, "10.0.0.10", 6881)
+        node.routing.insert(fresh)
+        assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
+        assert node.routing.get(fresh.id) is None
+        assert node._silent == {fresh.id: clock()}
+
+
+def test_a_contact_that_times_out_is_dropped_and_marked_silent(clock):
+    node = make_test_node(clock)  # its NullTransport never gets a reply
+    dead = Contact(b"d" * 20, "10.0.0.13", 6881)
+    node.routing.insert(dead)
+    assert node._query_contact(dead, krpc.ping_query(b"pq", node.node_id)) is None
+    assert node.routing.get(dead.id) is None
+    assert node._silent == {dead.id: clock()}
+
+
+def test_concurrent_timeouts_leave_silent_consistent_and_bounded():
+    """Eight threads each see 400 distinct ids time out, on a clock that
+    ticks one second per read; only the marks of the last SILENT_SECONDS
+    remain."""
+    ticks = itertools.count(1_000_000)
+    node = VoteNode(NodeConfig(), NullTransport(), clock=lambda: float(next(ticks)),
+                    node_id=b"\x01" * 20)
+    marked = [[bytes([2 + t]) + n.to_bytes(19, "big") for n in range(400)] for t in range(8)]
+    errors = []
+
+    def mark_all(ids):
+        try:
+            for node_id in ids:
+                contact = Contact(node_id, "10.0.0.1", 6881)
+                node.routing.insert(contact)
+                ping = krpc.ping_query(node._new_tid(), node.node_id)
+                assert node._query_contact(contact, ping) is None
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=mark_all, args=(ids,)) for ids in marked]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    # every timeout read the clock once, under the lock: the last one
+    # forgot all marks but those of its own SILENT_SECONDS, one per second
+    stamps = list(node._silent.values())
+    assert stamps == list(range(int(stamps[-1]) - SILENT_SECONDS + 1, int(stamps[-1]) + 1))
+    assert set(node._silent) <= {node_id for ids in marked for node_id in ids}
+    assert len(node.routing) == 0  # every contact that timed out was dropped
 
 
 def test_ping_address_takes_only_a_well_formed_foreign_id(clock):
@@ -560,6 +611,31 @@ def test_one_reply_adds_at_most_k_contacts_to_a_lookup(clock):
     assert [contact.id for contact, _ in replicas] == [peer.id]
     queried = [address for address, _, _ in recorder.sent if address != peer.address]
     assert 0 < len(queried) <= node.config.k
+
+
+def test_lookups_send_a_silent_id_nothing_for_silent_seconds(clock):
+    """A reply names a dead contact nearer the target than the one live
+    peer; after its first timeout, lookups skip it until SILENT_SECONDS
+    have passed, then query it again."""
+    node = make_test_node(clock)
+    peer = Contact(b"p" * 20, "10.0.0.12", 6881)
+    dead = Contact(TARGET[:19] + b"d", "10.0.0.13", 6881)
+    node.routing.insert(peer)
+    recorder = node.transport = Recorder(OnePeer(peer, krpc.pack_contacts([peer, dead])))
+
+    def queries_to_dead_in_one_lookup():
+        recorder.sent.clear()
+        assert [contact.id for contact in node.lookup(TARGET)] == [peer.id]
+        return sum(address == dead.address for address, _, _ in recorder.sent)
+
+    assert queries_to_dead_in_one_lookup() == 1
+    assert node._silent == {dead.id: clock()}
+    clock.advance(SILENT_SECONDS - 1)
+    assert queries_to_dead_in_one_lookup() == 0
+    assert queries_to_dead_in_one_lookup() == 0
+    clock.advance(1)
+    assert queries_to_dead_in_one_lookup() == 1
+    assert node._silent == {dead.id: clock()}  # marked again, from now
 
 
 def voting_world(seed=7):

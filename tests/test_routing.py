@@ -65,8 +65,8 @@ def test_bucket_overflow_keeps_healthy_contacts():
     table.insert(contact(members[4]))
     assert table.get(members[4]) is None
     assert len(table) == 4
-    # a failing contact gets replaced instead
-    table.get(members[0]).failed_queries = 2
+    # a contact that timed out is removed, and its slot taken
+    table.remove(members[0])
     table.insert(contact(members[4]))
     assert len(table) == 4
     assert table.get(members[0]) is None
@@ -128,7 +128,7 @@ def test_closest_matches_brute_force():
 
 
 def test_table_stays_consistent_under_concurrent_use():
-    """Four threads insert, refresh, fail, remove and rank for about 1 s."""
+    """Four threads insert, refresh, remove (as a timeout does) and rank for about 1 s."""
     rng = random.Random(4)
     own = make_id(rng)
     table = RoutingTable(own, k=4)
@@ -146,10 +146,8 @@ def test_table_stays_consistent_under_concurrent_use():
                 op = wrng.random()
                 if op < 0.45:
                     table.insert(Contact(node_id, "10.0.0.1", wrng.randrange(1, 4)))
-                elif op < 0.7:
-                    table.remove(node_id)
                 elif op < 0.85:
-                    table.note_failure(node_id)
+                    table.remove(node_id)
                 else:
                     table.closest(wrng.choice(ids))
         except Exception as exc:  # reported by the main thread

@@ -111,6 +111,40 @@ def test_silent_peer_costs_every_try_and_no_response():
     assert network.datagrams == {"ping:query": NodeConfig.query_retries + 1}
 
 
+def test_a_second_lookup_sends_silent_peers_nothing():
+    """A lookup of a silent peer's id waits on the silent peers it meets;
+    a second lookup of the same target sends them no datagram."""
+    world = SimWorld(ScenarioConfig(
+        seed=6, node_count=40, document_count=0, positive_voters=0, negative_voters=0,
+        malicious_fraction=0.2, malicious_strategy="silent",
+    ))
+    world.build()
+    silent = {peer.address for peer in world.peers
+              if isinstance(world.network.peers[peer.address], MaliciousPeer)}
+    target = next(peer.node.node_id for peer in world.peers if peer.address in silent)
+    honest = next(peer for peer in world.peers if peer.address not in silent)
+    observer = world._make_node([honest.address], ("172.16.0.1", SIM_PORT))
+    observer.bootstrap()
+    sent = []
+    request = world.network.request
+
+    def recorded(source, dest, data, kind):
+        sent.append(dest)
+        return request(source, dest, data, kind)
+
+    world.network.request = recorded
+    first = observer.lookup(target)
+    first_to_silent = sum(dest in silent for dest in sent)
+    sent.clear()
+    datagrams = world.network.check_datagrams
+    second = observer.lookup(target)
+    assert first_to_silent > 0
+    assert sent and not any(dest in silent for dest in sent)
+    # every datagram went to a peer that answered: one query, one response
+    assert world.network.check_datagrams - datagrams == 2 * len(sent)
+    assert [contact.id for contact in second] == [contact.id for contact in first]
+
+
 def test_replay_oracle_window_and_distinctness():
     assert replay_oracle([], 0.0) == {}
     events = [
@@ -174,10 +208,10 @@ def test_report_matches_parent_digest():
             malicious_fraction=0.1, **SMALL,
         )
     )
-    assert report.total_datagrams == 8551
-    assert report.total_bytes == 1316062
+    assert report.total_datagrams == 8552
+    assert report.total_bytes == 1315590
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "cc39cc23b0ae08206cbc23885ac7b7a755164bff75b7414220b7a4c5607fe12e"
+        "f1ae9de2b2e6ef5cf7bb544cad5c2bb4b48e7b7bf8b0af6a401b1992586284e3"
     )
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
         "3d9411df2568fd266e0757a3ad6586dc7d389368e230bed3b788bdde908423c3"

@@ -7,6 +7,7 @@ import statistics
 import sys
 import threading
 import time
+from hashlib import sha1
 
 import pytest
 
@@ -19,7 +20,6 @@ from dhtvote.udp import UdpNodeRunner, UdpTransport
 
 RECV_POLL_SECONDS = 0.2  # the receive loop's socket timeout
 FAKE_PEERS = 4
-SILENT_ID = b"\xff" * 20
 
 
 def test_stop_returns_without_waiting_for_the_receive_poll():
@@ -51,8 +51,9 @@ class FakePeers:
     With ``ping_first`` a peer sends the querier a ping just before each
     get_votes reply, from the same socket, so the ping always arrives first:
     an inbound query lands while the querier's request is waiting. With
-    ``silent`` the peers also list a bound socket that never answers, so
-    every lookup waits on it once.
+    ``silent`` the peers also list a bound socket that never answers, under
+    an id derived from the query's target: a node drops an id that timed
+    out, so each lookup of a new target meets a silent id it never met.
     """
 
     def __init__(self, ping_first: bool = False, silent: bool = False):
@@ -65,19 +66,23 @@ class FakePeers:
             contact = Contact(bytes([i + 1]) * 20, *sock.getsockname())
             self.contacts.append(contact)
             self._selector.register(sock, selectors.EVENT_READ, contact)
-        listed = list(self.contacts)
         self._silent = None
         if silent:
             self._silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             self._silent.bind(("127.0.0.1", 0))
-            listed.append(Contact(SILENT_ID, *self._silent.getsockname()))
-        self._nodes = krpc.pack_contacts(listed)
+        self._nodes = krpc.pack_contacts(self.contacts)
         self._running = True
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
+    def _listed(self, query: krpc.Query) -> bytes:
+        """The nodes a reply to query lists."""
+        if self._silent is None:
+            return self._nodes
+        silent = Contact(sha1(query.args[b"target"]).digest(), *self._silent.getsockname())
+        return self._nodes + krpc.pack_contacts([silent])
+
     def _serve(self) -> None:
-        nodes = self._nodes
         while self._running:
             for key, _ in self._selector.select(timeout=0.05):
                 sock, peer_id = key.fileobj, key.data.id
@@ -89,9 +94,10 @@ class FakePeers:
                     if self.ping_first:
                         ping = krpc.ping_query(b"pg", peer_id)
                         sock.sendto(krpc.encode_message(ping), source)
+                    nodes = self._listed(query)
                     reply = krpc.get_votes_response(query.tid, peer_id, b"token", nodes)
                 elif query.method == "find_node":
-                    reply = krpc.find_node_response(query.tid, peer_id, nodes)
+                    reply = krpc.find_node_response(query.tid, peer_id, self._listed(query))
                 else:  # ping and announce_vote both answer {id}
                     reply = krpc.ping_response(query.tid, peer_id)
                 sock.sendto(krpc.encode_message(reply), source)
@@ -162,6 +168,26 @@ def test_round_waits_on_its_votes_concurrently():
     assert deliveries(two) == 2 * FAKE_PEERS
     assert one_seconds >= client.config.query_timeout
     assert two_seconds < 1.5 * one_seconds
+
+
+def test_a_second_fetch_does_not_wait_on_the_contact_that_timed_out():
+    """The first fetch of a key waits one timeout on its silent contact; the
+    client then drops that id, and a second fetch of the key waits on nothing."""
+    peers = FakePeers(silent=True)
+    client = UdpNodeRunner(client_config([peers.contacts[0].address], timeout=0.3))
+    seconds = []
+    try:
+        client.start()
+        for _ in range(2):
+            started = time.perf_counter()
+            result = client.fetch_votes(b"\x07" * 20)
+            seconds.append(time.perf_counter() - started)
+            assert result.responders == FAKE_PEERS
+    finally:
+        client.stop()
+        peers.close()
+    assert seconds[0] >= client.config.query_timeout
+    assert seconds[1] < client.config.query_timeout
 
 
 def test_rounds_of_one_runner_may_overlap():
