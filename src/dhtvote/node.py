@@ -1,8 +1,9 @@
 """The voting DHT node: query handlers, tokens, journal, announce rounds.
 
 The node core is transport-agnostic. A transport only has to provide
-``request(address, data, kind) -> reply bytes or None`` (blocking, with its
-own timeout/retry policy); both the real UDP transport and the simulator's
+``request(address, data, kind) -> reply bytes or None``: one blocking
+attempt, sending the datagram once and waiting up to its timeout. The node
+decides whether to resend; both the real UDP transport and the simulator's
 virtual network satisfy that. The clock is injectable for the same reason:
 the store's 24-hour window, token rotation, and announce scheduling must all
 be testable without waiting on wall time. No two of the node's pending
@@ -49,7 +50,8 @@ Clock = Callable[[], float]
 
 
 class Transport(Protocol):
-    def request(self, address: Address, data: bytes, kind: str) -> bytes | None: ...
+    def request(self, address: Address, data: bytes, kind: str) -> bytes | None:
+        """Send data once; the reply's bytes, or None if none came in time."""
 
 
 @dataclass
@@ -312,14 +314,20 @@ class VoteNode:
         return self._rand(2)
 
     def send_query(self, address: Address, query: Query) -> Response | None:
-        """Send one query and wait; None on timeout or error reply.
+        """Send one query, and resend the same bytes up to query_retries
+        times while no reply comes; None on timeout or any reply but a
+        Response to it.
 
         A query whose tid another pending request holds gets a new random tid.
         """
         while self._tids.setdefault(query.tid, query) is not query:  # an atomic test-and-set
             query = Query(self._new_tid(), query.method, query.args)
         try:
-            raw = self.transport.request(address, krpc.encode_message(query), query.method)
+            data = krpc.encode_message(query)
+            for _ in range(self.config.query_retries + 1):
+                raw = self.transport.request(address, data, query.method)
+                if raw is not None:
+                    break
         finally:
             del self._tids[query.tid]
         if raw is None:

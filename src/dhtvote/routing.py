@@ -17,7 +17,11 @@ ID_LENGTH = 20
 
 
 class LookupFailedError(Exception):
-    """No contact responded during an iterative lookup."""
+    """A lookup had no contact to start from, or none of its contacts responded.
+
+    ``iterative_lookup`` raises it, and so does ``VoteNode._lookup`` when the
+    routing table is empty and no bootstrap node answers.
+    """
 
 
 def distance(a: bytes, b: bytes) -> int:

@@ -118,7 +118,7 @@ class ScenarioReport:
 
 
 class VirtualNetwork:
-    """Synchronous request/response datagram fabric with loss and tallies."""
+    """Synchronous datagram fabric, one attempt per request, with loss and tallies."""
 
     def __init__(self, rng: random.Random, loss: float = 0.0):
         self.rng = rng
@@ -144,20 +144,14 @@ class VirtualNetwork:
         self, source: tuple[str, int], dest: tuple[str, int], data: bytes, kind: str
     ) -> bytes | None:
         handler = self.peers.get(dest)
-        if handler is None:
+        if handler is None or self._lost():
             return None
-        for _ in range(NodeConfig.query_retries + 1):
-            if self._lost():
-                continue
-            self._count(f"{kind}:query", len(data))
-            reply = handler.handle_datagram(data, source)
-            if reply is None:
-                continue  # silent peer; retry like a timeout
-            if self._lost():
-                continue
-            self._count(f"{kind}:response", len(reply))
-            return reply
-        return None
+        self._count(f"{kind}:query", len(data))
+        reply = handler.handle_datagram(data, source)
+        if reply is None or self._lost():
+            return None  # a silent peer or a lost reply, as a timeout
+        self._count(f"{kind}:response", len(reply))
+        return reply
 
 
 class SimTransport:

@@ -1,12 +1,13 @@
 """Real UDP transport and the long-running node wrapper.
 
-One receive thread demultiplexes the socket: inbound queries go to the
-node's ``handle_datagram``, as in the simulator, and each inbound response
-goes to the queue of the request waiting on its source address and
-transaction id, so a request must name its peer by IP, not host name. It
-takes no lock but the routing table's, so neither a lookup nor a journal
-sync delays an answer. A round announces up to ``alpha`` votes at once, and
-rounds may overlap.
+A request sends its datagram once and waits up to the timeout; the node
+decides whether to resend. One receive thread demultiplexes the socket:
+inbound queries go to the node's ``handle_datagram``, as in the simulator,
+and the bytes of each inbound response or error go to the queue of the
+request waiting on their source address and transaction id, so a request
+must name its peer by IP, not host name. It takes no lock but the routing
+table's, so neither a lookup nor a journal sync delays an answer. A round
+announces up to ``alpha`` votes at once, and rounds may overlap.
 """
 
 from __future__ import annotations
@@ -29,14 +30,8 @@ _RECV_BUFFER = 2048
 
 
 class UdpTransport:
-    def __init__(
-        self,
-        bind: Address,
-        timeout: float = NodeConfig.query_timeout,
-        retries: int = NodeConfig.query_retries,
-    ):
+    def __init__(self, bind: Address, timeout: float = NodeConfig.query_timeout):
         self.timeout = timeout
-        self.retries = retries
         self.handler: VoteNode | None = None  # set by the runner before start()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(bind)
@@ -69,18 +64,13 @@ class UdpTransport:
 
     def request(self, address: Address, data: bytes, kind: str) -> bytes | None:
         key = (address, krpc.decode_message(data).tid)
-        replies = queue.SimpleQueue()  # a reply, or None for an error reply
+        replies = queue.SimpleQueue()
         if self._pending.setdefault(key, replies) is not replies:  # an atomic test-and-set
             return None  # its reply could not be told from the other's
         try:
-            for _ in range(self.retries + 1):
-                try:
-                    self._sock.sendto(data, address)
-                    return replies.get(timeout=self.timeout)
-                except queue.Empty:
-                    continue
-                except OSError:
-                    return None
+            self._sock.sendto(data, address)
+            return replies.get(timeout=self.timeout)
+        except (queue.Empty, OSError):
             return None
         finally:
             del self._pending[key]
@@ -114,7 +104,7 @@ class UdpTransport:
         else:
             replies = self._pending.get((source, message.tid))
             if replies is not None:
-                replies.put(data if isinstance(message, krpc.Response) else None)
+                replies.put(data)
 
 
 class UdpNodeRunner:
@@ -129,9 +119,7 @@ class UdpNodeRunner:
 
     def __init__(self, config: NodeConfig, node_id: bytes | None = None):
         self.config = config
-        self.transport = UdpTransport(
-            config.bind, timeout=config.query_timeout, retries=config.query_retries
-        )
+        self.transport = UdpTransport(config.bind, timeout=config.query_timeout)
         self.node = VoteNode(config, self.transport, node_id=node_id)
         self._lock = threading.Lock()
         self.transport.handler = self.node

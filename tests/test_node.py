@@ -540,6 +540,10 @@ class Recorder:
         self.sent.append((address, krpc.decode_message(data), reply))
         return reply
 
+    def queries(self) -> set[tuple]:
+        """(address, datagram) of each query, once: a retry resends the same bytes."""
+        return {(address, krpc.encode_message(query)) for address, query, _ in self.sent}
+
 
 class OnePeer:
     """Answers queries at one contact's address only, naming the same nodes."""
@@ -609,7 +613,7 @@ def test_one_reply_adds_at_most_k_contacts_to_a_lookup(clock):
     recorder = node.transport = Recorder(OnePeer(peer, krpc.pack_contacts(unserved)))
     replicas = node.get_votes_lookup(TARGET)
     assert [contact.id for contact, _ in replicas] == [peer.id]
-    queried = [address for address, _, _ in recorder.sent if address != peer.address]
+    queried = [address for address, _ in recorder.queries() if address != peer.address]
     assert 0 < len(queried) <= node.config.k
 
 
@@ -626,7 +630,7 @@ def test_lookups_send_a_silent_id_nothing_for_silent_seconds(clock):
     def queries_to_dead_in_one_lookup():
         recorder.sent.clear()
         assert [contact.id for contact in node.lookup(TARGET)] == [peer.id]
-        return sum(address == dead.address for address, _, _ in recorder.sent)
+        return sum(address == dead.address for address, _ in recorder.queries())
 
     assert queries_to_dead_in_one_lookup() == 1
     assert node._silent == {dead.id: clock()}

@@ -12,6 +12,7 @@ from dhtvote.sim import (
     AnnounceEvent,
     MaliciousPeer,
     ScenarioConfig,
+    SimTransport,
     SimWorld,
     VirtualNetwork,
     replay_oracle,
@@ -103,12 +104,14 @@ def test_malicious_peer_corrupts_only_get_votes_sketches():
 
 
 def test_silent_peer_costs_every_try_and_no_response():
-    network = VirtualNetwork(random.Random(0))
-    silent = ("10.0.0.1", SIM_PORT)
-    network.peers[silent] = MaliciousPeer(make_test_node(FakeClock()), "silent")
-    ping = krpc.encode_message(krpc.ping_query(b"pi", b"\x01" * 20))
-    assert network.request(("10.0.0.2", SIM_PORT), silent, ping, "ping") is None
-    assert network.datagrams == {"ping:query": NodeConfig.query_retries + 1}
+    for retries in (NodeConfig.query_retries, 0):
+        network = VirtualNetwork(random.Random(0))
+        silent = ("10.0.0.1", SIM_PORT)
+        network.peers[silent] = MaliciousPeer(make_test_node(FakeClock()), "silent")
+        node = make_test_node(FakeClock(), query_retries=retries)
+        node.transport = SimTransport(network, ("10.0.0.2", SIM_PORT))
+        assert node.send_query(silent, krpc.ping_query(b"pi", node.node_id)) is None
+        assert network.datagrams == {"ping:query": retries + 1}
 
 
 def test_a_second_lookup_sends_silent_peers_nothing():

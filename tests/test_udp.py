@@ -392,7 +392,7 @@ def test_request_refuses_a_transaction_id_already_pending():
     peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     peer.bind(("127.0.0.1", 0))
     peer.settimeout(2.0)
-    transport = UdpTransport(("127.0.0.1", 0), timeout=0.5, retries=0)
+    transport = UdpTransport(("127.0.0.1", 0), timeout=0.5)
     transport.start()
     first = []
     query = krpc.encode_message(krpc.ping_query(b"\x00\x00", b"\x01" * 20))
@@ -428,7 +428,7 @@ def test_racing_requests_for_one_transaction_id_send_it_once():
     peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     peer.bind(("127.0.0.1", 0))
     peer.settimeout(2.0)
-    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0, retries=0)
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0)
     transport.start()
     query = krpc.encode_message(krpc.ping_query(b"\x00\x00", b"\x01" * 20))
     go = threading.Barrier(8, timeout=5.0)
@@ -470,7 +470,7 @@ def test_concurrent_requests_that_draw_one_tid_are_both_delivered():
     peer.bind(("127.0.0.1", 0))
     peer.settimeout(1.0)
     tids = iter([b"\x00\x07", b"\x00\x07", b"\x00\x08"])
-    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0, retries=0)
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0)
     node = VoteNode(NodeConfig(), transport, node_id=b"\x01" * 20,
                     rand_bytes=lambda n: next(tids) if n == 2 else bytes(n))
     transport.start()
@@ -499,6 +499,77 @@ def test_concurrent_requests_that_draw_one_tid_are_both_delivered():
     ]
     assert len(replies) == 2 and all(reply is not None for reply in replies)
     assert node._tids == {}
+
+
+def node_on_loopback(**config) -> tuple[VoteNode, UdpTransport]:
+    """A started VoteNode on a UdpTransport with config's timeout."""
+    config = NodeConfig(**config)
+    transport = UdpTransport(("127.0.0.1", 0), timeout=config.query_timeout)
+    node = VoteNode(config, transport, node_id=b"\x01" * 20)
+    transport.start()
+    return node, transport
+
+
+def test_a_retry_resends_the_same_datagram_and_takes_its_reply():
+    """The peer ignores the first try; the second carries the same bytes,
+    the same tid included, and the peer's answer to it is the reply."""
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    node, transport = node_on_loopback(query_timeout=0.5, query_retries=1)
+    replies = []
+    query = krpc.ping_query(node._new_tid(), node.node_id)
+    thread = threading.Thread(
+        target=lambda: replies.append(node.send_query(peer.getsockname(), query))
+    )
+    try:
+        thread.start()
+        first, _ = peer.recvfrom(2048)  # left unanswered, so the try times out
+        second, source = peer.recvfrom(2048)
+        tid = krpc.decode_message(second).tid
+        peer.sendto(krpc.encode_message(krpc.ping_response(tid, b"\x02" * 20)), source)
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+    finally:
+        transport.stop()
+        peer.close()
+    assert second == first
+    [reply] = replies
+    assert reply is not None and reply.values == {b"id": b"\x02" * 20}
+
+
+def test_an_error_reply_ends_the_query_without_a_retry():
+    """A KRPC error is a reply, not a timeout: the peer gets one datagram,
+    and send_query returns None long before the timeout."""
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    node, transport = node_on_loopback(query_timeout=2.0, query_retries=2)
+    outcome = []
+
+    def ping():
+        started = time.perf_counter()
+        reply = node.send_query(peer.getsockname(), krpc.ping_query(b"pe", node.node_id))
+        outcome.append((reply, time.perf_counter() - started))
+
+    thread = threading.Thread(target=ping)
+    try:
+        thread.start()
+        data, source = peer.recvfrom(2048)
+        tid = krpc.decode_message(data).tid
+        error = krpc.ErrorMessage(tid, krpc.SERVER_ERROR, "internal error")
+        peer.sendto(krpc.encode_message(error), source)
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        peer.settimeout(0.05)
+        with pytest.raises(socket.timeout):
+            peer.recvfrom(2048)  # no second try was sent
+    finally:
+        transport.stop()
+        peer.close()
+    [(reply, seconds)] = outcome
+    assert reply is None
+    assert seconds < node.config.query_timeout / 4
 
 
 def ping(pinger: UdpNodeRunner, address) -> krpc.Response | None:
