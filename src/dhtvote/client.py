@@ -12,19 +12,23 @@ honest value when the honest replicas agree. The trade-off: a replica
 that is legitimately ahead of its peers gets partially discounted until
 re-announces converge them again.
 
-Replica sketches are parsed leniently, with ``HllSketch(data)``: only their
-length is checked, and registers above the maximum rank go on to the
+Replica sketches are parsed leniently: ``krpc.response_sketches`` rejects a
+malformed wire form (a wrong length, or a sparse form that repeats an index
+or holds a zero rank), and registers above the maximum rank go on to the
 combiner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import krpc
 from .node import VoteNode, vote_key
 from .routing import LookupFailedError
-from .sketch import HllSketch, checked_registers
+from .sketch import REGISTER_COUNT, HllSketch, checked_registers, nonzero_indices
+
+_ONE = b"\0" + b"\x01" * 255  # translate table: any nonzero register -> 1
 
 
 @dataclass
@@ -46,8 +50,25 @@ def robust_combine(sketches: list[HllSketch]) -> HllSketch:
     if len(sketches) < 3:
         return HllSketch.union(sketches)
     registers = checked_registers(sketches)
-    mid = (len(registers) - 1) // 2
-    return HllSketch(bytes(sorted(values)[mid] for values in zip(*registers)))
+    n = len(registers)
+    mid = (n - 1) // 2
+    if n > 255:  # a register's count of nonzero sketches would not fit in a byte
+        return HllSketch(bytes(sorted(values)[mid] for values in zip(*registers)))
+    # A lower median is nonzero only where at least n - mid sketches are.
+    # Count those per register in one packed int, a byte each, and sort
+    # only the columns that reach n - mid; every other register stays 0.
+    counts = sum(int.from_bytes(r.translate(_ONE), "big") for r in registers)
+    need = n - mid
+    reached = counts.to_bytes(REGISTER_COUNT, "big").translate(
+        bytes(need) + b"\x01" * (REGISTER_COUNT - need)
+    )
+    indices = nonzero_indices(reached)
+    out = bytearray(REGISTER_COUNT)
+    if indices:
+        pick = itemgetter(*indices, 0)  # a tuple even for one index; zip drops the extra 0
+        for index, column in zip(indices, zip(*map(pick, registers))):
+            out[index] = sorted(column)[mid]
+    return HllSketch(out)
 
 
 def fetch_votes(node: VoteNode, info_hash: bytes) -> VoteResult:

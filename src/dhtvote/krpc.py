@@ -10,11 +10,10 @@ The two voting methods:
 
   get_votes      args {id, target[, nv]};
                  response {id, token, nodes[, vp, vn]} where vp/vn are the
-                 256-byte positive/negative sketches, present only when the
-                 responder actually stores votes for the target and the
-                 query did not carry ``nv`` = 1 ("no votes", in the style of
-                 BEP 33's noseed flag). Any other ``nv`` value counts as
-                 absent.
+                 positive/negative sketches, present only when the responder
+                 actually stores votes for the target and the query did not
+                 carry ``nv`` = 1 ("no votes", in the style of BEP 33's
+                 noseed flag). Any other ``nv`` value counts as absent.
   announce_vote  args {id, target, vote (1 or -1), token};
                  response {id}.
 
@@ -24,6 +23,16 @@ their token and sketches. An announce sends ``nv`` = 1 on its lookup and
 then announce_vote with each replica's token; a fetch combines the
 sketches of the lookup's k closest responders. A replica that ignores
 ``nv`` stays compatible, because the announce path ignores sketches.
+
+A sketch travels in one of two forms, told apart by length, in the style of
+HLL++'s sparse mode (Heule, Nunkesser & Hall, EDBT 2013). Exactly 256 bytes
+is dense: every register in index order. A sketch with m < 128 nonzero
+registers goes out sparse, as 2m bytes: their m indices in ascending order,
+then their m ranks. A sparse value of odd length or over 256 bytes, with a
+repeated index or with a zero rank is malformed; ranks are not otherwise
+checked, so a rank above the maximum reaches the combiner as a dense one
+does. Clients that read only the dense form cannot read these replies; the
+protocol has no deployed network that would need a negotiation flag.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from dataclasses import dataclass, field
 
 from . import bencode
 from .routing import ID_LENGTH, Contact
-from .sketch import REGISTER_COUNT
+from .sketch import REGISTER_COUNT, nonzero_indices
 
 _COMPACT_CONTACT = struct.Struct("!20s4sH")  # 26 bytes: id, IPv4, port
 
@@ -137,6 +146,33 @@ def unpack_contacts(data: bytes) -> list[Contact]:
         raise ProtocolError("compact node info not a multiple of 26 bytes")
     return [Contact(node_id, socket.inet_ntoa(ip), port)
             for node_id, ip, port in _COMPACT_CONTACT.iter_unpack(data)]
+
+
+# ---------------------------------------------------------------------------
+# sketch wire forms
+
+
+def pack_sketch(registers: bytes | bytearray) -> bytes:
+    """256 register bytes -> their wire form: sparse if shorter, else dense."""
+    ranks = registers.translate(None, b"\0")
+    if len(ranks) * 2 >= REGISTER_COUNT:
+        return bytes(registers)
+    return nonzero_indices(registers) + ranks
+
+
+def _unpack_sketch(blob: bytes) -> bytes:
+    """Either wire form -> the 256 dense register bytes; ProtocolError if malformed."""
+    if len(blob) == REGISTER_COUNT:
+        return blob
+    m, odd = divmod(len(blob), 2)
+    if odd or m > REGISTER_COUNT // 2:
+        raise ProtocolError("sparse sketch length must be even and under 256")
+    out = bytearray(REGISTER_COUNT)
+    for index, rank in zip(blob[:m], blob[m:]):
+        out[index] = rank
+    if out.count(0) != REGISTER_COUNT - m:  # a repeated index or a zero rank
+        raise ProtocolError("sparse sketch repeats an index or has a zero rank")
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +281,15 @@ def validate_query_args(query: Query) -> dict[str, object]:
 
 
 def response_sketches(values: dict) -> tuple[bytes | None, bytes | None]:
-    """Extract the optional vp/vn sketch bytes from get_votes response values."""
+    """The optional vp/vn sketches of get_votes response values, each as
+    256 dense register bytes whichever form it came in."""
     out = []
     for key in (b"vp", b"vn"):
         blob = values.get(key)
         if blob is None:
             out.append(None)
-        elif isinstance(blob, bytes) and len(blob) == REGISTER_COUNT:
-            out.append(blob)
+        elif isinstance(blob, bytes):
+            out.append(_unpack_sketch(blob))
         else:
             raise ProtocolError(f"malformed {key.decode()} sketch")
     return out[0], out[1]

@@ -42,6 +42,7 @@ log = logging.getLogger(__name__)
 
 TOKEN_ROTATION_SECONDS = 300  # previous secret stays valid one extra rotation
 SILENT_SECONDS = 900  # BEP 5's 15 minutes: an id whose query failed is skipped this long
+LOOKUP_QUERIES_PER_K = 8  # a lookup sends at most this many times k queries
 JOURNAL_FILENAME = "votes.log"
 _POLARITY = {polarity.value: polarity for polarity in Polarity}  # faster than Polarity(v)
 
@@ -221,6 +222,8 @@ class VoteNode:
     step; each announce uses the token of its own lookup's reply.
     A contact whose query gets no usable reply leaves the routing table, and
     lookups send its id nothing for SILENT_SECONDS, whichever reply names it.
+    A lookup sends at most LOOKUP_QUERIES_PER_K × k queries, however many
+    nearer contacts the replies name; honest lookups send far fewer.
     """
 
     def __init__(
@@ -296,8 +299,8 @@ class VoteNode:
         if not no_votes:
             positive, negative = self.store.aggregate(target, self.clock())
             if not (positive.is_empty() and negative.is_empty()):
-                vp = positive.to_bytes()
-                vn = negative.to_bytes()
+                vp = krpc.pack_sketch(positive.registers)
+                vn = krpc.pack_sketch(negative.registers)
         return krpc.get_votes_response(tid, self.node_id, token, nodes, vp, vn)
 
     def _handle_announce_vote(self, tid: bytes, fields: dict, source: Address) -> Response:
@@ -408,7 +411,9 @@ class VoteNode:
         """The k closest responders to target, each with its reply.
 
         ``make_query(tid, target)`` builds the query sent to each contact;
-        replies of contacts outside the k closest are discarded.
+        replies of contacts outside the k closest are discarded. Once the
+        lookup has sent its budget of queries, it sends no more and ends on
+        the responders it has.
         """
         seeds = self.routing.closest(target)
         if not seeds:
@@ -419,11 +424,16 @@ class VoteNode:
         if not seeds:
             raise LookupFailedError("routing table empty and no bootstrap reachable")
         replies: dict[bytes, Response] = {}
+        budget = LOOKUP_QUERIES_PER_K * self.config.k
 
         def query(contact: Contact, target: bytes) -> list[Contact] | None:
+            nonlocal budget
             if contact.id in self._silent:  # failed lately; a mark forgotten since reads -inf
                 if self.clock() - self._silent.get(contact.id, float("-inf")) < SILENT_SECONDS:
                     return None  # don't wait on it again
+            if not budget:
+                return None  # replies that keep naming nearer contacts end here
+            budget -= 1
             reply = self._query_contact(contact, make_query(self._new_tid(), target))
             found = None if reply is None else self._reply_contacts(reply)
             if found is not None:

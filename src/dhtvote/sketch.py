@@ -6,8 +6,10 @@ Index = first digest byte; rank = leading zeros of the next 32 bits, plus one.
 Every node must produce identical registers for identical voter sets or
 replica sketches would not union correctly, so none of this is configurable.
 
-Two sketches (positive + negative) serialize to 512 bytes total, which keeps
-a full get_votes response inside a single UDP datagram.
+A sketch serializes to its 256 register bytes; on the get_votes wire a
+sketch with fewer than 128 nonzero registers goes sparse (``krpc.pack_sketch``).
+Two sketches take at most 512 bytes either way, which keeps a full get_votes
+response inside a single UDP datagram.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ _TWO_POW_32 = 1 << 32
 # 2^-r for any byte value; wire-lenient sketches may carry registers above 33.
 _INV_POW2 = tuple(2.0 ** -r for r in range(256))
 _INDEX_AND_BITS = struct.Struct(">BI").unpack_from  # digest byte 0, then bytes 1-4
+_NONZERO_TO_FF = b"\0" + b"\xff" * 255  # translate table: any nonzero byte -> 0xff
+_INDICES = int.from_bytes(bytes(range(REGISTER_COUNT)), "big")  # byte i holds i
 
 
 class MalformedSketchError(ValueError):
@@ -38,6 +42,18 @@ def register_of(item: bytes) -> tuple[int, int]:
         raise ValueError("cannot add an empty item")
     index, bits = _INDEX_AND_BITS(sha1(item).digest())
     return index, MAX_RANK - bits.bit_length()  # leading zeros of the 32 bits, plus 1
+
+
+def nonzero_indices(registers: bytes | bytearray) -> bytes:
+    """The indices of the nonzero bytes of 256 register bytes, ascending.
+
+    C-level work only: the nonzero bytes become an 0xff mask, the mask picks
+    their indices out of ``_INDICES``, and the zeros left are deleted. That
+    deletes index 0 as well, so register 0 is checked on its own.
+    """
+    mask = int.from_bytes(registers.translate(_NONZERO_TO_FF), "big")
+    indices = (mask & _INDICES).to_bytes(REGISTER_COUNT, "big").translate(None, b"\0")
+    return b"\0" + indices if registers[0] else indices
 
 
 def checked_registers(sketches: Iterable["HllSketch"]) -> list[bytearray]:
@@ -108,7 +124,7 @@ class HllSketch:
         return HllSketch.union((self, other))
 
     def to_bytes(self) -> bytes:
-        """256 register bytes in index order; used verbatim on the wire."""
+        """256 register bytes in index order: the dense wire form."""
         return bytes(self.registers)
 
     def is_empty(self) -> bool:

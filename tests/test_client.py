@@ -91,6 +91,43 @@ def test_breakdown_bound_exact_when_honest_agree():
             assert robust_combine(replicas) == honest
 
 
+def reference_combine(sketches):
+    """The lower median of every register, column by column."""
+    mid = (len(sketches) - 1) // 2
+    return bytes(sorted(column)[mid] for column in zip(*(s.registers for s in sketches)))
+
+
+def mixed_sketch(rng):
+    """A sketch like a replica's: sparse and honest, dense, inflated or empty."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_sketch(rng, items=rng.randrange(1, 80))
+    if kind == 1:
+        return HllSketch(bytes(rng.randrange(256) for _ in range(256)))
+    if kind == 2:
+        return HllSketch(bytes([rng.choice((0xFF, 33, 1))]) * 256)
+    return HllSketch()
+
+
+def test_combine_equals_the_per_register_lower_median():
+    rng = random.Random(5)
+    for trial in range(400):
+        sketches = [mixed_sketch(rng) for _ in range(3 + trial % 10)]  # n = 3 ... 12
+        assert robust_combine(sketches).to_bytes() == reference_combine(sketches)
+
+
+def test_combine_of_more_than_255_sketches_is_exact():
+    """Per-register counts of nonzero sketches no longer fit in a byte."""
+    rng = random.Random(6)
+    for n in (255, 256, 300, 511):
+        sketches = [mixed_sketch(rng) for _ in range(n)]
+        assert robust_combine(sketches).to_bytes() == reference_combine(sketches)
+    # 256 sketches nonzero at register 5 alone: a packed count would carry
+    # into register 4 and read 0 at register 5
+    registers = bytes(5) + b"\x04" + bytes(250)
+    assert robust_combine([HllSketch(registers) for _ in range(256)]).to_bytes() == registers
+
+
 # ---------------------------------------------------------------------------
 # fetch_votes against the simulator fabric
 
@@ -149,16 +186,31 @@ def test_fetch_with_inflating_minority_stays_honest(small_world, monkeypatch):
             small_world.network.peers[peer.address] = peer.node
 
 
-class ShortSketch:
-    """A replica whose vp sketch is one byte short of 256."""
+def one_byte_short(vp):
+    return vp[:-1]
 
-    def __init__(self, node):
-        self.node = node
+
+def repeated_index(vp):
+    m = len(vp) // 2
+    return vp[:1] + vp[: m - 1] + vp[m:]  # the first index twice, the last gone
+
+
+def zero_rank(vp):
+    m = len(vp) // 2
+    return vp[:m] + b"\x00" + vp[m + 1 :]
+
+
+class MalformedSketch:
+    """A replica that corrupts its sparse vp sketch with ``corrupt``."""
+
+    def __init__(self, node, corrupt):
+        self.node, self.corrupt = node, corrupt
 
     def handle_datagram(self, data, source):
         reply = krpc.decode_message(self.node.handle_datagram(data, source))
         if b"vp" in reply.values:
-            reply.values[b"vp"] = reply.values[b"vp"][:-1]
+            assert len(reply.values[b"vp"]) < 256  # 12 voters: the sparse form
+            reply.values[b"vp"] = self.corrupt(reply.values[b"vp"])
         return krpc.encode_message(reply)
 
 
@@ -168,9 +220,7 @@ def test_fetch_skips_a_replica_with_a_malformed_sketch(small_world, monkeypatch)
 
     info_hash = small_world.documents[2]
     key = vote_key(info_hash)
-    short = min(small_world.peers, key=lambda p: distance(p.node.node_id, key))
-    small_world.network.peers[short.address] = ShortSketch(short.node)
-    combined = []
+    bad = min(small_world.peers, key=lambda p: distance(p.node.node_id, key))
     combine = client.robust_combine
 
     def counted(sketches):
@@ -178,13 +228,16 @@ def test_fetch_skips_a_replica_with_a_malformed_sketch(small_world, monkeypatch)
         return combine(sketches)
 
     monkeypatch.setattr(client, "robust_combine", counted)
-    try:
-        result = fetch_votes(small_world.make_observer(), info_hash)
-    finally:
-        small_world.network.peers[short.address] = short.node
-    assert result.responders == 8
-    assert combined == [7, 7]
-    assert abs(result.positive_count - 12) / 12 <= 0.2
+    for corrupt in (one_byte_short, repeated_index, zero_rank):
+        combined = []
+        small_world.network.peers[bad.address] = MalformedSketch(bad.node, corrupt)
+        try:
+            result = fetch_votes(small_world.make_observer(), info_hash)
+        finally:
+            small_world.network.peers[bad.address] = bad.node
+        assert result.responders == 8
+        assert combined == [7, 7], corrupt.__name__
+        assert abs(result.positive_count - 12) / 12 <= 0.2
 
 
 def test_fetch_ignores_sketches_outside_the_replica_set(small_world, monkeypatch):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dhtvote import krpc
 from dhtvote.routing import Contact
@@ -77,9 +79,68 @@ def test_get_votes_response_sketch_extraction():
     values[b"vn"] = b"\x00" * 256
     vp, vn = krpc.response_sketches(values)
     assert vp == b"\x01" * 256 and vn == b"\x00" * 256
-    values[b"vp"] = b"\x01" * 255
-    with pytest.raises(krpc.ProtocolError):
-        krpc.response_sketches(values)
+    values[b"vp"] = b"\x07\x03"  # sparse: register 7 holds rank 3
+    assert krpc.response_sketches(values)[0] == bytes(7) + b"\x03" + bytes(248)
+    values[b"vp"] = b""  # sparse and empty
+    assert krpc.response_sketches(values)[0] == bytes(256)
+    for malformed in (
+        b"\x01" * 255,  # odd length
+        b"\x01" * 258,  # over 256
+        b"\x07\x07\x03\x04",  # index 7 twice
+        b"\x07\x08\x03\x00",  # rank 0 at index 8
+        12,
+    ):
+        values[b"vp"] = malformed
+        with pytest.raises(krpc.ProtocolError):
+            krpc.response_sketches(values)
+
+
+def dense(registers: dict[int, int]) -> bytes:
+    out = bytearray(256)
+    for index, rank in registers.items():
+        out[index] = rank
+    return bytes(out)
+
+
+def nonzero(count, *, first=0, rank=1):
+    return {index: rank for index in range(first, first + count)}
+
+
+registers_strategy = st.dictionaries(
+    st.integers(0, 255), st.integers(1, 255), max_size=256
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(registers_strategy)
+@example({})  # the empty sketch
+@example(nonzero(127, first=1))  # the largest sparse form: 254 bytes
+@example(nonzero(128))  # the smallest count that goes dense
+@example(nonzero(127, rank=255))  # register 0 set, every rank 255
+@example({0: 1})
+@example({255: 255})
+@example(nonzero(256, rank=33))
+def test_pack_then_response_sketches_is_the_identity(registers):
+    packed = krpc.pack_sketch(bytearray(dense(registers)))
+    assert type(packed) is bytes
+    m = len(registers)
+    assert len(packed) == (2 * m if m < 128 else 256)
+    if m < 128:  # ascending indices, then their ranks
+        assert packed == bytes(sorted(registers)) + bytes(registers[i] for i in sorted(registers))
+    assert krpc.response_sketches({b"vp": packed, b"vn": packed}) == (dense(registers),) * 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=300))
+@example(b"\x00\x00\x01\x01")
+@example(b"\x00\x01\x01\x00")
+@example(bytes(256))
+def test_any_sketch_value_gives_256_registers_or_protocol_error(blob):
+    try:
+        vp, vn = krpc.response_sketches({b"vp": blob, b"vn": blob})
+    except krpc.ProtocolError:
+        return
+    assert type(vp) is bytes and len(vp) == 256 and vn == vp
 
 
 def test_get_votes_response_fits_one_datagram():

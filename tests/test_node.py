@@ -11,8 +11,9 @@ from hashlib import sha1
 import pytest
 
 from dhtvote import krpc
+from dhtvote.client import fetch_votes
 from dhtvote.node import (
-    SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
+    LOOKUP_QUERIES_PER_K, SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
     vote_key,
 )
 from dhtvote.routing import Contact, LookupFailedError, distance
@@ -130,8 +131,7 @@ def test_announce_then_get_votes_round_trip(clock):
     )
     assert isinstance(reply, krpc.Response)
     reply = send(node, krpc.get_votes_query(b"g2", SENDER_ID, TARGET))
-    vp = reply.values[b"vp"]
-    vn = reply.values[b"vn"]
+    vp, vn = krpc.response_sketches(reply.values)
     assert sum(1 for b in vp if b) == 1  # one voter IP, one register
     assert vn == bytes(256)
 
@@ -615,6 +615,56 @@ def test_one_reply_adds_at_most_k_contacts_to_a_lookup(clock):
     assert [contact.id for contact, _ in replicas] == [peer.id]
     queried = [address for address, _ in recorder.queries() if address != peer.address]
     assert 0 < len(queried) <= node.config.k
+
+
+class Lure:
+    """One attacker that answers at every address it has named, with the id
+    it named there, and names 8 new contacts nearer the target in each reply.
+
+    A new contact's distance is one step of 2^16 nearer, plus a serial
+    number in the low 16 bits that keeps every id new. The stub stops
+    answering after ``cap`` requests, so a lookup that follows the lure
+    fails the test instead of running on.
+    """
+
+    def __init__(self, target, cap=2000):
+        self.target = int.from_bytes(target, "big")
+        self.ids = {}
+        self.requests, self.cap = 0, cap
+
+    def contact(self, distance_to_target):
+        port = 1024 + len(self.ids)
+        node_id = (distance_to_target ^ self.target).to_bytes(20, "big")
+        self.ids[("10.9.0.1", port)] = node_id
+        return Contact(node_id, "10.9.0.1", port)
+
+    def request(self, address, data, kind):
+        self.requests += 1
+        if self.requests > self.cap:
+            return None
+        node_id = self.ids[address]
+        step = ((int.from_bytes(node_id, "big") ^ self.target) >> 16) - 1
+        nearer = [self.contact(step << 16 | len(self.ids)) for _ in range(8)]
+        return krpc.encode_message(krpc.Response(
+            krpc.decode_message(data).tid,
+            {b"id": node_id, b"token": b"t" * 8, b"nodes": krpc.pack_contacts(nearer)},
+        ))
+
+
+def test_a_lure_gets_at_most_the_query_budget(clock):
+    """ROADMAP item 13: every reply names 8 new contacts nearer the key, all
+    served by one attacker. One fetch sends LOOKUP_QUERIES_PER_K × k
+    queries, stops, and combines the k nearest responders so far."""
+    node = make_test_node(clock)
+    info_hash = b"\x42" * 20
+    lure = Lure(vote_key(info_hash))
+    node.routing.insert(lure.contact(1 << 150))
+    recorder = node.transport = Recorder(lure)
+    result = fetch_votes(node, info_hash)
+    budget = LOOKUP_QUERIES_PER_K * node.config.k
+    assert lure.requests == len(recorder.queries()) == budget
+    assert result.responders == node.config.k
+    assert (result.positive_count, result.negative_count) == (0, 0)
 
 
 def test_lookups_send_a_silent_id_nothing_for_silent_seconds(clock):

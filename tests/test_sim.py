@@ -212,9 +212,9 @@ def test_report_matches_parent_digest():
         )
     )
     assert report.total_datagrams == 8552
-    assert report.total_bytes == 1315590
+    assert report.total_bytes == 1289538
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "f1ae9de2b2e6ef5cf7bb544cad5c2bb4b48e7b7bf8b0af6a401b1992586284e3"
+        "89dc81785a3eee10ec082d0f4b27d644ef6baa3158219d2741bfbdad2d6ee704"
     )
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
         "3d9411df2568fd266e0757a3ad6586dc7d389368e230bed3b788bdde908423c3"

@@ -11,6 +11,7 @@ from dhtvote.sketch import (
     REGISTER_COUNT,
     HllSketch,
     MalformedSketchError,
+    nonzero_indices,
 )
 
 
@@ -173,3 +174,12 @@ def test_registers_grow_monotonically(items):
         assert all(c >= p for c, p in zip(current, previous))
         assert all(c <= MAX_RANK for c in current)
         previous = current
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=REGISTER_COUNT, max_size=REGISTER_COUNT))
+def test_nonzero_indices_lists_the_nonzero_registers_in_order(registers):
+    expected = bytes(index for index, rank in enumerate(registers) if rank)
+    assert nonzero_indices(registers) == expected
+    assert nonzero_indices(bytearray(registers)) == expected
+    assert nonzero_indices(b"\x05" + registers[1:])[:1] == b"\x00"  # register 0 is kept
