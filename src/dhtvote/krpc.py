@@ -17,6 +17,9 @@ The two voting methods:
   announce_vote  args {id, target, vote (1 or -1), token};
                  response {id}.
 
+This module builds and parses messages; ``VoteNode.handle_query`` checks
+each query argument where it reads it, with ``id_arg`` for the 20-byte ids.
+
 Lookups for the voting methods run with get_votes as the lookup query, the
 way BEP 5 runs get_peers: the k closest responders have then already sent
 their token and sketches. An announce sends ``nv`` = 1 on its lookup and
@@ -239,45 +242,17 @@ def announce_vote_response(tid: bytes, node_id: bytes) -> Response:
 
 
 # ---------------------------------------------------------------------------
-# argument validation (server side)
+# argument checks (server side)
 
 
-def _require_bytes(args: dict, key: bytes, length: int | None = None) -> bytes:
+def id_arg(args: dict, key: bytes) -> bytes:
+    """The 20-byte id a query carries under key; ProtocolError unless it is one."""
     value = args.get(key)
     if not isinstance(value, bytes):
         raise ProtocolError(f"missing or non-string {key.decode()!r}")
-    if length is not None and len(value) != length:
-        raise ProtocolError(
-            f"{key.decode()!r} must be {length} bytes, got {len(value)}"
-        )
+    if len(value) != ID_LENGTH:
+        raise ProtocolError(f"{key.decode()!r} must be {ID_LENGTH} bytes, got {len(value)}")
     return value
-
-
-def validate_query_args(query: Query) -> dict[str, object]:
-    """Check a query's arguments; returns the typed fields it carries."""
-    args = query.args
-    fields: dict[str, object] = {"id": _require_bytes(args, b"id", ID_LENGTH)}
-    if query.method == "ping":
-        return fields
-    if query.method == "find_node":
-        fields["target"] = _require_bytes(args, b"target", ID_LENGTH)
-        return fields
-    if query.method == "get_votes":
-        fields["target"] = _require_bytes(args, b"target", ID_LENGTH)
-        fields["no_votes"] = args.get(b"nv") == 1
-        return fields
-    if query.method == "announce_vote":
-        fields["target"] = _require_bytes(args, b"target", ID_LENGTH)
-        vote = args.get(b"vote")
-        if not isinstance(vote, int) or vote not in (1, -1):
-            raise ProtocolError("vote must be 1 or -1")
-        fields["vote"] = vote
-        token = args.get(b"token")
-        if not isinstance(token, bytes) or not token:
-            raise ProtocolError("missing announce token")
-        fields["token"] = token
-        return fields
-    raise ProtocolError(f"unknown method {query.method!r}", METHOD_UNKNOWN)
 
 
 def response_sketches(values: dict) -> tuple[bytes | None, bytes | None]:

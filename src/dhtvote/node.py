@@ -274,41 +274,45 @@ class VoteNode:
         return krpc.encode_message(reply)
 
     def handle_query(self, query: Query, source: Address) -> Response:
-        fields = krpc.validate_query_args(query)
-        sender_id = fields["id"]
-        if sender_id != self.node_id:
-            self.routing.insert(Contact(sender_id, source[0], source[1]))
-        if query.method == "ping":
-            return krpc.ping_response(query.tid, self.node_id)
-        if query.method == "find_node":
-            nodes = krpc.pack_contacts(self.routing.closest(fields["target"]))
-            return krpc.find_node_response(query.tid, self.node_id, nodes)
-        if query.method == "get_votes":
-            return self._handle_get_votes(
-                query.tid, fields["target"], source, fields["no_votes"]
-            )
-        assert query.method == "announce_vote"
-        return self._handle_announce_vote(query.tid, fields, source)
+        """Answer one query, checking each argument where it is read. The sender
+        joins the routing table once they are all well formed."""
+        tid, args, method = query.tid, query.args, query.method
+        sender = Contact(krpc.id_arg(args, b"id"), source[0], source[1])
+        if method == "ping":
+            self._insert_sender(sender)
+            return krpc.ping_response(tid, self.node_id)
+        if method in ("find_node", "get_votes"):
+            target = krpc.id_arg(args, b"target")
+            self._insert_sender(sender)
+            nodes = krpc.pack_contacts(self.routing.closest(target))
+            if method == "find_node":
+                return krpc.find_node_response(tid, self.node_id, nodes)
+            token = self.tokens.issue(source)
+            vp = vn = None
+            if args.get(b"nv") != 1:
+                positive, negative = self.store.aggregate(target, self.clock())
+                if not (positive.is_empty() and negative.is_empty()):
+                    vp = krpc.pack_sketch(positive.registers)
+                    vn = krpc.pack_sketch(negative.registers)
+            return krpc.get_votes_response(tid, self.node_id, token, nodes, vp, vn)
+        if method == "announce_vote":
+            target = krpc.id_arg(args, b"target")
+            vote = args.get(b"vote")
+            if not isinstance(vote, int) or vote not in (1, -1):
+                raise ProtocolError("vote must be 1 or -1")
+            token = args.get(b"token")
+            if not isinstance(token, bytes) or not token:
+                raise ProtocolError("missing announce token")
+            self._insert_sender(sender)
+            if not self.tokens.valid(token, source):
+                raise ProtocolError("invalid or expired token")
+            self.store.record(target, _POLARITY[vote], socket.inet_aton(source[0]), self.clock())
+            return krpc.announce_vote_response(tid, self.node_id)
+        raise ProtocolError(f"unknown method {method!r}", krpc.METHOD_UNKNOWN)
 
-    def _handle_get_votes(
-        self, tid: bytes, target: bytes, source: Address, no_votes: bool
-    ) -> Response:
-        token = self.tokens.issue(source)
-        nodes = krpc.pack_contacts(self.routing.closest(target))
-        vp = vn = None
-        if not no_votes:
-            positive, negative = self.store.aggregate(target, self.clock())
-            if not (positive.is_empty() and negative.is_empty()):
-                vp = krpc.pack_sketch(positive.registers)
-                vn = krpc.pack_sketch(negative.registers)
-        return krpc.get_votes_response(tid, self.node_id, token, nodes, vp, vn)
-
-    def _handle_announce_vote(self, tid: bytes, fields: dict, source: Address) -> Response:
-        if not self.tokens.valid(fields["token"], source):
-            raise ProtocolError("invalid or expired token")
-        polarity = _POLARITY[fields["vote"]]  # validate_query_args admits only 1 and -1
-        self.store.record(fields["target"], polarity, socket.inet_aton(source[0]), self.clock())
-        return krpc.announce_vote_response(tid, self.node_id)
+    def _insert_sender(self, sender: Contact) -> None:
+        if sender.id != self.node_id:
+            self.routing.insert(sender)
 
     # ------------------------------------------------------------------
     # client side

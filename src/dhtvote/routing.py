@@ -65,10 +65,6 @@ class RoutingTable:
         with self._lock:
             return len(self._contacts)
 
-    def get(self, node_id: bytes) -> Contact | None:
-        with self._lock:
-            return self._contacts.get(node_id)
-
     def insert(self, contact: Contact) -> None:
         """Add contact, or refresh it and move it to its bucket's tail.
 

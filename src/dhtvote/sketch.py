@@ -6,8 +6,9 @@ Index = first digest byte; rank = leading zeros of the next 32 bits, plus one.
 Every node must produce identical registers for identical voter sets or
 replica sketches would not union correctly, so none of this is configurable.
 
-A sketch serializes to its 256 register bytes; on the get_votes wire a
-sketch with fewer than 128 nonzero registers goes sparse (``krpc.pack_sketch``).
+A sketch's 256 registers, in index order, are its dense wire form; on the
+get_votes wire a sketch with fewer than 128 nonzero registers goes sparse
+(``krpc.pack_sketch``).
 Two sketches take at most 512 bytes either way, which keeps a full get_votes
 response inside a single UDP datagram.
 """
@@ -122,10 +123,6 @@ class HllSketch:
     def merge(self, other: "HllSketch") -> "HllSketch":
         """Union of two sketches."""
         return HllSketch.union((self, other))
-
-    def to_bytes(self) -> bytes:
-        """256 register bytes in index order: the dense wire form."""
-        return bytes(self.registers)
 
     def is_empty(self) -> bool:
         return not any(self.registers)

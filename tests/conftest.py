@@ -5,6 +5,7 @@ import pytest
 
 from dhtvote import krpc
 from dhtvote.node import NodeConfig, VoteNode
+from dhtvote.routing import distance
 from dhtvote.udp import UdpTransport
 
 
@@ -24,6 +25,12 @@ class NullTransport:
 
     def request(self, address, data, kind):
         return None
+
+
+def table_contact(table, node_id):
+    """The contact with node_id in its bucket of the routing table, or None."""
+    bucket = table.buckets[distance(table.own_id, node_id).bit_length() - 1]
+    return next((c for c in bucket if c.id == node_id), None)
 
 
 @pytest.fixture

@@ -35,7 +35,6 @@ def test_all_query_builders_round_trip():
     ]
     for query in queries:
         assert krpc.decode_message(krpc.encode_message(query)) == query
-        krpc.validate_query_args(query)
 
 
 def test_compact_contacts_round_trip():
@@ -48,28 +47,6 @@ def test_compact_contacts_round_trip():
     assert krpc.unpack_contacts(packed) == contacts
     with pytest.raises(krpc.ProtocolError):
         krpc.unpack_contacts(packed[:-1])
-
-
-def test_validate_rejects_bad_args():
-    good_id = b"n" * 20
-    with pytest.raises(krpc.ProtocolError):
-        krpc.validate_query_args(krpc.Query(b"t", "ping", {}))
-    with pytest.raises(krpc.ProtocolError):
-        krpc.validate_query_args(
-            krpc.Query(b"t", "get_votes", {b"id": good_id, b"target": b"short"})
-        )
-    for bad_vote in (0, 2, -2, b"1"):
-        with pytest.raises(krpc.ProtocolError):
-            krpc.validate_query_args(
-                krpc.Query(
-                    b"t",
-                    "announce_vote",
-                    {b"id": good_id, b"target": good_id, b"vote": bad_vote, b"token": b"t"},
-                )
-            )
-    with pytest.raises(krpc.ProtocolError) as err:
-        krpc.validate_query_args(krpc.Query(b"t", "bogus", {b"id": good_id}))
-    assert err.value.code == krpc.METHOD_UNKNOWN
 
 
 def test_get_votes_response_sketch_extraction():

@@ -9,6 +9,8 @@ import time
 from hashlib import sha1
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dhtvote import krpc
 from dhtvote.client import fetch_votes
@@ -20,7 +22,7 @@ from dhtvote.routing import Contact, LookupFailedError, distance
 from dhtvote.sim import ScenarioConfig, SimWorld
 from dhtvote.store import Polarity
 
-from conftest import FakeClock, NullTransport, make_test_node
+from conftest import FakeClock, NullTransport, make_test_node, table_contact
 
 SOURCE = ("198.51.100.7", 40000)
 TARGET = b"T" * 20
@@ -96,7 +98,7 @@ def test_ping_and_routing_refresh(clock):
     assert isinstance(reply, krpc.Response)
     assert reply.tid == b"aa"
     assert reply.values[b"id"] == node.node_id
-    refreshed = node.routing.get(SENDER_ID)
+    refreshed = table_contact(node.routing, SENDER_ID)
     assert refreshed is not None and refreshed.address == SOURCE
 
 
@@ -159,8 +161,10 @@ def test_token_for_other_source_rejected(clock):
     token = get_token(node, source=("203.0.113.9", 1234))
     reply = send(node, krpc.announce_vote_query(b"av", SENDER_ID, TARGET, 1, token))
     assert isinstance(reply, krpc.ErrorMessage)
-    assert reply.code == krpc.PROTOCOL_ERROR
+    assert (reply.code, reply.message) == (krpc.PROTOCOL_ERROR, "invalid or expired token")
     assert node.store.aggregate(TARGET, clock())[0].is_empty()
+    # well-formed arguments put the sender in the table before its token is checked
+    assert table_contact(node.routing, SENDER_ID).address == SOURCE
 
 
 def test_stale_token_rejected(clock):
@@ -188,6 +192,67 @@ def test_unknown_method_yields_204(clock):
     node = make_test_node(clock)
     reply = send(node, krpc.Query(b"zz", "get_peers", {b"id": SENDER_ID}))
     assert isinstance(reply, krpc.ErrorMessage) and reply.code == 204
+
+
+def test_all_query_builders_pass_the_argument_checks(clock):
+    node = make_test_node(clock)
+    rng = random.Random(1)
+    ids = [rng.randbytes(20) for _ in range(7)]
+    replies = [send(node, query) for query in (
+        krpc.ping_query(b"t0", ids[0]),
+        krpc.find_node_query(b"t1", ids[1], ids[2]),
+        krpc.get_votes_query(b"t2", ids[3], ids[4]),
+        krpc.announce_vote_query(b"t3", ids[5], ids[6], -1, b"token123"),
+    )]
+    assert all(isinstance(reply, krpc.Response) for reply in replies[:3])
+    # the announce's arguments pass; only its made-up token is refused
+    assert (replies[3].code, replies[3].message) == (203, "invalid or expired token")
+
+
+def test_malformed_query_gets_its_error_and_leaves_the_table_empty(clock):
+    node = make_test_node(clock)
+    announce = {b"id": SENDER_ID, b"target": TARGET, b"vote": 1, b"token": b"t"}
+    no_token = {key: value for key, value in announce.items() if key != b"token"}
+    cases = [
+        ("ping", {}, 203, "missing or non-string 'id'"),
+        ("ping", {b"id": b"short"}, 203, "'id' must be 20 bytes, got 5"),
+        ("find_node", {b"id": SENDER_ID}, 203, "missing or non-string 'target'"),
+        ("get_votes", {b"id": SENDER_ID, b"target": b"short"}, 203, "'target' must be 20 bytes, got 5"),
+        ("announce_vote", {**announce, b"target": b"short"}, 203, "'target' must be 20 bytes, got 5"),
+        *[("announce_vote", {**announce, b"vote": vote}, 203, "vote must be 1 or -1")
+          for vote in (0, 2, -2, b"1")],
+        ("announce_vote", no_token, 203, "missing announce token"),
+        ("announce_vote", {**announce, b"token": b""}, 203, "missing announce token"),
+        ("bogus", {b"id": SENDER_ID}, 204, "unknown method 'bogus'"),
+    ]
+    for method, args, code, message in cases:
+        reply = send(node, krpc.Query(b"t", method, args))
+        assert isinstance(reply, krpc.ErrorMessage)
+        assert (reply.tid, reply.code, reply.message) == (b"t", code, message)
+        assert len(node.routing) == 0
+
+
+_bencode_values = st.recursive(
+    st.binary(max_size=24) | st.binary(min_size=20, max_size=20)
+    | st.integers(-2, 2) | st.integers(-2**70, 2**70),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.binary(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["ping", "find_node", "get_votes", "announce_vote", "get_peers"]),
+    st.fixed_dictionaries({key: st.none() | _bencode_values  # None: the key is absent
+                           for key in (b"id", b"target", b"vote", b"token", b"nv")}),
+)
+@example("announce_vote", {b"id": SENDER_ID, b"target": TARGET, b"vote": -1, b"token": b"x", b"nv": None})
+@example("get_votes", {b"id": SENDER_ID, b"target": TARGET, b"vote": None, b"token": None, b"nv": 1})
+def test_any_query_arguments_get_a_response_or_a_203_or_204(method, args):
+    node = make_test_node(FakeClock())
+    query = krpc.Query(b"hq", method, {key: value for key, value in args.items() if value is not None})
+    reply = send(node, query)
+    assert isinstance(reply, krpc.Response) or reply.code in (203, 204)
 
 
 def test_get_votes_with_nv_omits_sketches(clock):
@@ -433,15 +498,15 @@ def test_reply_from_another_id_replaces_the_expected_one(clock):
     node.routing.insert(contact)
     node.transport = StubTransport(new)
     assert node._query_contact(contact, krpc.ping_query(b"pq", node.node_id)) is None
-    assert node.routing.get(old) is None
-    assert node.routing.get(new).address == contact.address
+    assert table_contact(node.routing, old) is None
+    assert table_contact(node.routing, new).address == contact.address
     assert node._silent == {}  # the address answered
     for bad in (b"short", node.node_id):  # no usable reply: dropped and marked silent
         node.transport = StubTransport(bad)
         fresh = Contact(b"f" * 20, "10.0.0.10", 6881)
         node.routing.insert(fresh)
         assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
-        assert node.routing.get(fresh.id) is None
+        assert table_contact(node.routing, fresh.id) is None
         assert node._silent == {fresh.id: clock()}
 
 
@@ -450,7 +515,7 @@ def test_a_contact_that_times_out_is_dropped_and_marked_silent(clock):
     dead = Contact(b"d" * 20, "10.0.0.13", 6881)
     node.routing.insert(dead)
     assert node._query_contact(dead, krpc.ping_query(b"pq", node.node_id)) is None
-    assert node.routing.get(dead.id) is None
+    assert table_contact(node.routing, dead.id) is None
     assert node._silent == {dead.id: clock()}
 
 
@@ -504,7 +569,7 @@ def test_ping_address_takes_only_a_well_formed_foreign_id(clock):
     node.transport = StubTransport(b"p" * 20)
     probe = node._ping_address(address)
     assert probe.id == b"p" * 20 and probe.address == address
-    assert node.routing.get(probe.id) is probe
+    assert table_contact(node.routing, probe.id) is probe
 
 
 def test_lookup_after_churn_returns_no_departed_ids():

@@ -15,6 +15,8 @@ from dhtvote.routing import (
     iterative_lookup,
 )
 
+from conftest import table_contact
+
 
 def make_id(rng):
     return rng.randbytes(20)
@@ -46,9 +48,9 @@ def test_insert_update_and_pending():
     table = RoutingTable(own, k=4)
     first = contact(make_id(rng))
     table.insert(first)
-    assert table.get(first.id) is first
+    assert table_contact(table, first.id) is first
     table.insert(contact(first.id))
-    assert table.get(first.id) is first  # updated in place
+    assert table_contact(table, first.id) is first  # updated in place
     assert len(table) == 1
     with pytest.raises(ValueError):
         table.insert(contact(own))
@@ -61,16 +63,16 @@ def test_bucket_overflow_keeps_healthy_contacts():
     members = [bytes([0x80]) + bytes(18) + bytes([n]) for n in range(5)]
     for node_id in members[:4]:
         table.insert(contact(node_id))
-        assert table.get(node_id) is not None
+        assert table_contact(table, node_id) is not None
     table.insert(contact(members[4]))
-    assert table.get(members[4]) is None
+    assert table_contact(table, members[4]) is None
     assert len(table) == 4
     # a contact that timed out is removed, and its slot taken
     table.remove(members[0])
     table.insert(contact(members[4]))
     assert len(table) == 4
-    assert table.get(members[0]) is None
-    assert table.get(members[4]) is not None
+    assert table_contact(table, members[0]) is None
+    assert table_contact(table, members[4]) is not None
 
 
 def test_closest_empty_and_exact_match():
@@ -91,7 +93,7 @@ def test_closest_matches_brute_force():
     for _ in range(50):
         c = contact(make_id(rng))
         table.insert(c)
-        if table.get(c.id) is c:
+        if table_contact(table, c.id) is c:
             everyone.append(c)
     target = make_id(rng)
     expected = sorted(everyone, key=lambda c: (distance(c.id, target), c.id))[:8]
@@ -106,7 +108,7 @@ def test_closest_matches_brute_force():
             near = contact((own_int ^ rng.getrandbits(bits)).to_bytes(ID_LENGTH, "big"))
             if near.id != own:
                 table.insert(near)
-                if table.get(near.id) is near:
+                if table_contact(table, near.id) is near:
                     everyone.append(near)
     targets = [own] + [
         (own_int ^ (1 << bit) ^ rng.getrandbits(bit)).to_bytes(ID_LENGTH, "big")
@@ -173,7 +175,7 @@ def test_table_stays_consistent_under_concurrent_use():
         assert len(bucket) <= table.k
         for c in bucket:
             assert table._bucket_index(c.id) == index
-            assert table.get(c.id) is c
+            assert table._contacts[c.id] is c
         if bucket:
             occupied |= 1 << index
     assert table._occupied == occupied

@@ -26,12 +26,12 @@ def reference_position(item: bytes) -> tuple[int, int]:
 
 def test_new_sketch_is_all_zero():
     sketch = HllSketch()
-    assert sketch.to_bytes() == bytes(REGISTER_COUNT)
+    assert bytes(sketch.registers) == bytes(REGISTER_COUNT)
     assert sketch.estimate() == 0.0
 
 
 def test_merge_of_empties_is_empty():
-    assert HllSketch().merge(HllSketch()).to_bytes() == bytes(256)
+    assert bytes(HllSketch().merge(HllSketch()).registers) == bytes(256)
 
 
 def test_add_rejects_empty_item():
@@ -46,15 +46,15 @@ def test_add_localhost_matches_reference_sha1():
     index, rank = reference_position(item)
     expected = bytearray(REGISTER_COUNT)
     expected[index] = rank
-    assert sketch.to_bytes() == bytes(expected)
+    assert bytes(sketch.registers) == bytes(expected)
 
 
 def test_add_is_idempotent():
     sketch = HllSketch()
     sketch.add(b"\x01\x02\x03\x04")
-    once = sketch.to_bytes()
+    once = bytes(sketch.registers)
     sketch.add(b"\x01\x02\x03\x04")
-    assert sketch.to_bytes() == once
+    assert bytes(sketch.registers) == once
 
 
 def test_single_register_linear_count():
@@ -119,7 +119,7 @@ def test_serialize_round_trip_and_errors():
     sketch = HllSketch()
     for _ in range(100):
         sketch.add(rng.randbytes(4))
-    assert HllSketch(sketch.to_bytes()) == sketch
+    assert HllSketch(bytes(sketch.registers)) == sketch
     with pytest.raises(MalformedSketchError):
         HllSketch(b"\x00" * 255)
     # registers above MAX_RANK are admitted (the client's replica path)
@@ -167,10 +167,10 @@ def test_insertion_order_independence(items, rnd):
 @given(items_strategy)
 def test_registers_grow_monotonically(items):
     sketch = HllSketch()
-    previous = sketch.to_bytes()
+    previous = bytes(sketch.registers)
     for item in items:
         sketch.add(item)
-        current = sketch.to_bytes()
+        current = bytes(sketch.registers)
         assert all(c >= p for c, p in zip(current, previous))
         assert all(c <= MAX_RANK for c in current)
         previous = current
