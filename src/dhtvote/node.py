@@ -21,6 +21,7 @@ from __future__ import annotations
 import fcntl
 import logging
 import os
+import re
 import secrets
 import socket
 import threading
@@ -44,6 +45,7 @@ TOKEN_ROTATION_SECONDS = 300  # previous secret stays valid one extra rotation
 SILENT_SECONDS = 900  # BEP 5's 15 minutes: an id whose query failed is skipped this long
 LOOKUP_QUERIES_PER_K = 8  # a lookup sends at most this many times k queries
 JOURNAL_FILENAME = "votes.log"
+_JOURNAL_LINE = re.compile(r"([0-9a-fA-F]{40}),([+-]1),([0-9]+)")  # hash, sign, unix seconds
 _POLARITY = {polarity.value: polarity for polarity in Polarity}  # faster than Polarity(v)
 
 Address = tuple[str, int]
@@ -166,8 +168,6 @@ class Journal:
             return False
 
     def load(self) -> list[LocalVote]:
-        if not self.path.exists():
-            return []
         votes: dict[bytes, LocalVote] = {}
         with open(self.path, "r", encoding="ascii", errors="replace") as fh:
             # taken before reading, so a racing append shows as a change
@@ -188,19 +188,11 @@ class Journal:
 
     @staticmethod
     def _parse_line(line: str) -> LocalVote | None:
-        parts = line.split(",")
-        if len(parts) != 3:
+        match = _JOURNAL_LINE.fullmatch(line)
+        if match is None:
             return None
-        hex_hash, sign, stamp = parts
-        if len(hex_hash) != 40 or sign not in ("+1", "-1") or not stamp.isdigit():
-            return None
-        try:
-            info_hash = bytes.fromhex(hex_hash)
-        except ValueError:
-            return None
-        if len(info_hash) != ID_LENGTH:  # fromhex skips whitespace
-            return None
-        return LocalVote(info_hash, Polarity(int(sign)), int(stamp))
+        hex_hash, sign, stamp = match.groups()
+        return LocalVote(bytes.fromhex(hex_hash), _POLARITY[int(sign)], int(stamp))
 
 
 def vote_key(info_hash: bytes) -> bytes:
@@ -458,13 +450,12 @@ class VoteNode:
         self.routing.insert(contact)
         return contact
 
-    def bootstrap(self) -> int:
-        """Join the network via the configured contacts; returns table size."""
+    def bootstrap(self) -> None:
+        """Join the network via the configured contacts."""
         try:
             self.lookup(self.node_id)
         except LookupFailedError:
             pass
-        return len(self.routing)
 
     def reload_journal(self) -> None:
         """Take in the journal's votes if it changed since the last load,

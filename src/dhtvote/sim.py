@@ -19,7 +19,7 @@ import io
 import json
 import random
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import krpc
 from .client import fetch_votes
@@ -167,8 +167,6 @@ class MaliciousPeer:
     """Wraps an honest node and corrupts its get_votes responses."""
 
     def __init__(self, node: VoteNode, strategy: str):
-        if strategy not in MALICE_STRATEGIES:
-            raise ValueError(f"unknown malice strategy {strategy!r}")
         self.node = node
         self.strategy = strategy
 

@@ -33,10 +33,6 @@ _NONZERO_TO_FF = b"\0" + b"\xff" * 255  # translate table: any nonzero byte -> 0
 _INDICES = int.from_bytes(bytes(range(REGISTER_COUNT)), "big")  # byte i holds i
 
 
-class MalformedSketchError(ValueError):
-    """Serialized sketch does not hold exactly 256 registers."""
-
-
 def register_of(item: bytes) -> tuple[int, int]:
     """The (index, rank) that one item sets; every sketch and store hashes here."""
     if not item:
@@ -79,9 +75,7 @@ class HllSketch:
             self.registers = bytearray(REGISTER_COUNT)
         else:
             if len(registers) != REGISTER_COUNT:
-                raise MalformedSketchError(
-                    f"expected {REGISTER_COUNT} registers, got {len(registers)}"
-                )
+                raise ValueError(f"expected {REGISTER_COUNT} registers, got {len(registers)}")
             self.registers = bytearray(registers)
 
     def add(self, item: bytes) -> None:

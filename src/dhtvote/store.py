@@ -16,6 +16,7 @@ from .routing import ID_LENGTH
 from .sketch import REGISTER_COUNT, HllSketch, register_of
 
 WINDOW_HOURS = 24
+MAX_KEYS = 65_536  # past this many keys, a new key evicts the least recently written
 EMPTY = 0xFF  # the age of a register that holds no pair
 _SPAN = 0x7F  # a base sits this many hours before the write that sets it
 
@@ -118,10 +119,7 @@ class VoteRing:
 class VoteStore:
     """Bounded map from vote key to ring; least-recently-written eviction."""
 
-    def __init__(self, max_keys: int = 65_536):
-        if max_keys < 1:
-            raise ValueError("max_keys must be at least 1")
-        self.max_keys = max_keys
+    def __init__(self) -> None:
         self._rings: OrderedDict[bytes, VoteRing] = OrderedDict()
         self._swept_hour: int | None = None
 
@@ -143,7 +141,7 @@ class VoteStore:
                 rings.popitem(last=False)
         ring = rings.get(key)
         if ring is None:
-            while len(rings) >= self.max_keys:
+            while len(rings) >= MAX_KEYS:
                 rings.popitem(last=False)
             ring = rings[key] = VoteRing(hour)
         else:

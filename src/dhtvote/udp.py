@@ -3,9 +3,10 @@
 A request sends its datagram once and waits up to the timeout; the node
 decides whether to resend. One receive thread demultiplexes the socket:
 inbound queries go to the node's ``handle_datagram``, as in the simulator,
-and the bytes of each inbound response or error go to the queue of the
-request waiting on their source address and transaction id, so a request
-must name its peer by IP, not host name. It takes no lock but the routing
+and each inbound response or error goes to the request pending on its
+source address and transaction id. The transport keys each pending request
+by that (address, tid) pair, so a request names its peer by IP, not host
+name; the node keeps its tids unique. It takes no lock but the routing
 table's, so neither a lookup nor a journal sync delays an answer. A round
 announces up to ``alpha`` votes at once, and rounds may overlap.
 """
@@ -64,9 +65,7 @@ class UdpTransport:
 
     def request(self, address: Address, data: bytes, kind: str) -> bytes | None:
         key = (address, krpc.decode_message(data).tid)
-        replies = queue.SimpleQueue()
-        if self._pending.setdefault(key, replies) is not replies:  # an atomic test-and-set
-            return None  # its reply could not be told from the other's
+        self._pending[key] = replies = queue.SimpleQueue()
         try:
             self._sock.sendto(data, address)
             return replies.get(timeout=self.timeout)

@@ -30,3 +30,11 @@ def test_package_imports_only_the_standard_library():
 
         project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
         assert project["dependencies"] == []
+
+
+def test_package_parses_at_the_declared_python_floor():
+    """pyproject says ``requires-python = ">=3.10"``: no newer syntax."""
+    paths = sorted((ROOT / "src" / "dhtvote").glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -308,6 +308,9 @@ def test_cast_vote_once_only(clock):
     assert node.cast_vote(info_hash, Polarity.POSITIVE) == "already-voted"
     assert node.cast_vote(info_hash, Polarity.NEGATIVE) == "already-voted"
     assert len(node.local_votes) == 1
+    with pytest.raises(ValueError, match="info-hash must be 20 bytes"):
+        node.cast_vote(b"h" * 19, Polarity.POSITIVE)
+    assert len(node.local_votes) == 1
 
 
 def test_journal_round_trip(tmp_path):
@@ -358,12 +361,18 @@ def test_journal_first_record_wins_and_bad_lines_skipped(tmp_path):
         f"{'bb' * 19}b,-1,300\n"  # 39-char hash
         f"{' '.join(['ab'] * 13):<40},+1,1700000000\n"  # 40 chars, 13 bytes
         "not,a,line,at,all\n"
+        f"{'zz' * 20},+1,100\n"  # 40 chars, not hex
         f"{'cc' * 20},-1,400\n"
+        f"{'ee' * 20},+2,100\n"  # a sign other than +1 or -1
+        f"{'ee' * 20},-1,-100\n"  # a negative stamp
+        "\n"
+        f"{'DD' * 20},+1,500\n"  # upper-case hex is kept
     )
     votes = Journal(tmp_path).load()
-    assert [(v.info_hash[:1], v.polarity) for v in votes] == [
-        (b"\xaa", Polarity.POSITIVE),
-        (b"\xcc", Polarity.NEGATIVE),
+    assert [(v.info_hash[:1], v.polarity, v.created_at) for v in votes] == [
+        (b"\xaa", Polarity.POSITIVE, 100),
+        (b"\xcc", Polarity.NEGATIVE, 400),
+        (b"\xdd", Polarity.POSITIVE, 500),
     ]
 
 

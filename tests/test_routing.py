@@ -80,6 +80,8 @@ def test_closest_empty_and_exact_match():
     table = RoutingTable(make_id(rng), k=8)
     target = make_id(rng)
     assert table.closest(target) == []
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        table.closest(target, k=0)
     table.insert(contact(target))
     table.insert(contact(make_id(rng)))
     assert table.closest(target)[0].id == target

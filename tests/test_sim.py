@@ -42,7 +42,7 @@ def test_config_validation():
         dict(node_count=20.5), dict(duration_hours=1.5), dict(document_count=True),
         dict(positive_voters=4.0), dict(negative_voters=False), dict(k=8.5),
         dict(alpha=True), dict(announce_period=1.5), dict(churn_rate=True),
-        dict(seed=None), dict(seed=1.5),
+        dict(seed=None), dict(seed=1.5), dict(duration_hours=0), dict(document_count=-1),
     ):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad).validate()
@@ -192,6 +192,13 @@ def test_no_fault_scenario_accuracy_and_availability():
     for row in report.rows:
         assert row["true_pos"] == 10 and row["true_neg"] == 3
         assert row["responders"] >= 1
+    # no documents: no fetch, so nothing is unavailable and no error is measured
+    empty = run_scenario(ScenarioConfig(seed=1, duration_hours=1, node_count=10,
+                                        document_count=0, positive_voters=0,
+                                        negative_voters=0))
+    assert empty.rows == []
+    assert empty.availability == 1.0
+    assert empty.mean_relative_error == empty.p99_relative_error == 0.0
 
 
 def test_same_seed_reproduces_report_byte_for_byte():

@@ -10,7 +10,6 @@ from dhtvote.sketch import (
     MAX_RANK,
     REGISTER_COUNT,
     HllSketch,
-    MalformedSketchError,
     nonzero_indices,
 )
 
@@ -71,6 +70,12 @@ def test_alpha_constant_value():
     estimate = HllSketch(registers).estimate()
     alpha = estimate / (256 * 256 / (256 * 2.0**-15))
     assert alpha == pytest.approx(0.71827, abs=1e-4)
+    # a raw estimate above 2^32 / 30 takes the large-range correction
+    raw = alpha * 256 * 2.0**20
+    assert 2**32 / 30 < raw < 2**32
+    estimate = HllSketch(bytes([20] * REGISTER_COUNT)).estimate()
+    assert estimate == pytest.approx(-(2**32) * math.log(1 - raw / 2**32))
+    assert estimate == pytest.approx(197_271_690.66, abs=0.01)
 
 
 def test_estimate_within_20pct_of_10k():
@@ -120,7 +125,7 @@ def test_serialize_round_trip_and_errors():
     for _ in range(100):
         sketch.add(rng.randbytes(4))
     assert HllSketch(bytes(sketch.registers)) == sketch
-    with pytest.raises(MalformedSketchError):
+    with pytest.raises(ValueError, match="expected 256 registers, got 255"):
         HllSketch(b"\x00" * 255)
     # registers above MAX_RANK are admitted (the client's replica path)
     lenient = HllSketch(b"\xff" * 256)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dhtvote import store as store_module
 from dhtvote.sketch import REGISTER_COUNT, HllSketch, register_of
 from dhtvote.store import EMPTY, WINDOW_HOURS, Polarity, VoteStore
 
@@ -156,8 +157,9 @@ def test_clock_step_back_never_drops_a_live_ring():
     assert store.aggregate(stale, 31 * HOUR)[0].is_empty()
 
 
-def test_lru_eviction_at_capacity():
-    store = VoteStore(max_keys=2)
+def test_lru_eviction_at_capacity(monkeypatch):
+    monkeypatch.setattr(store_module, "MAX_KEYS", 2)
+    store = VoteStore()
     first, second, third = b"a" * 20, b"b" * 20, b"c" * 20
     store.record(first, Polarity.POSITIVE, ip(1), now=0)
     store.record(second, Polarity.POSITIVE, ip(2), now=1)
@@ -210,11 +212,6 @@ def test_aggregate_matches_event_log_rebuild():
     positive, negative = store.aggregate(KEY, probe)
     assert positive == expect_pos
     assert negative == expect_neg
-
-
-def test_max_keys_must_be_positive():
-    with pytest.raises(ValueError):
-        VoteStore(max_keys=0)
 
 
 def union_of_writes(writes, key, now_hour) -> tuple[HllSketch, HllSketch]:

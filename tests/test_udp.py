@@ -4,7 +4,6 @@ import random
 import selectors
 import socket
 import statistics
-import sys
 import threading
 import time
 from hashlib import sha1
@@ -384,83 +383,6 @@ def test_run_forever_announces_each_period_until_stopped():
     assert len(starts) >= 4
     assert 0.25 <= starts[1] - starts[0] < 0.9  # one period, not a 1 s poll
     assert any(vote_key(info_hash) in server.node.store for server in servers)
-
-
-def test_request_refuses_a_transaction_id_already_pending():
-    """Two requests to one address with one tid: the second is a miss, sent
-    nowhere, and the first still gets its reply."""
-    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    peer.bind(("127.0.0.1", 0))
-    peer.settimeout(2.0)
-    transport = UdpTransport(("127.0.0.1", 0), timeout=0.5)
-    transport.start()
-    first = []
-    query = krpc.encode_message(krpc.ping_query(b"\x00\x00", b"\x01" * 20))
-
-    def ping():  # a VoteNode would give the second query a tid of its own
-        return transport.request(peer.getsockname(), query, "ping")
-
-    thread = threading.Thread(target=lambda: first.append(ping()))
-    try:
-        thread.start()
-        data, source = peer.recvfrom(2048)  # the first request is now pending
-        started = time.perf_counter()
-        assert ping() is None
-        assert time.perf_counter() - started < transport.timeout / 2
-        tid = krpc.decode_message(data).tid
-        peer.sendto(krpc.encode_message(krpc.ping_response(tid, b"\x02" * 20)), source)
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        peer.settimeout(0.05)
-        with pytest.raises(socket.timeout):
-            peer.recvfrom(2048)  # the refused request sent nothing
-    finally:
-        transport.stop()
-        peer.close()
-    [reply] = first
-    assert reply is not None and krpc.decode_message(reply).values[b"id"] == b"\x02" * 20
-    assert transport._pending == {}
-
-
-def test_racing_requests_for_one_transaction_id_send_it_once():
-    """More threads than cores claim one (address, tid) at once, with a short
-    switch interval: one request is sent and the rest are refused unsent."""
-    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    peer.bind(("127.0.0.1", 0))
-    peer.settimeout(2.0)
-    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0)
-    transport.start()
-    query = krpc.encode_message(krpc.ping_query(b"\x00\x00", b"\x01" * 20))
-    go = threading.Barrier(8, timeout=5.0)
-    replies = []
-
-    def ping():
-        go.wait()
-        replies.append(transport.request(peer.getsockname(), query, "ping"))
-
-    threads = [threading.Thread(target=ping) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        _, source = peer.recvfrom(2048)
-        deadline = time.monotonic() + 5.0
-        while len(replies) < 7 and time.monotonic() < deadline:
-            time.sleep(0.01)  # the refused requests return before any reply
-        peer.sendto(krpc.encode_message(krpc.ping_response(b"\x00\x00", b"\x02" * 20)), source)
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert not any(thread.is_alive() for thread in threads)
-        peer.settimeout(0.05)
-        with pytest.raises(socket.timeout):
-            peer.recvfrom(2048)  # no second request was sent
-    finally:
-        sys.setswitchinterval(interval)
-        transport.stop()
-        peer.close()
-    assert replies[:7] == [None] * 7 and replies[7] is not None
-    assert transport._pending == {}
 
 
 def test_concurrent_requests_that_draw_one_tid_are_both_delivered():
