@@ -2,7 +2,9 @@
 Hébrail 2010): per vote key, polarity and register, the (hour, rank) writes
 that no later write has matched or beaten, so hours go up and ranks go down.
 A read takes each register's first pair in the trailing 24 hours, as a union
-of hourly sketches would. Keys are kept in write order, and the first write of
+of hourly sketches would. Hours are kept as they are, so whatever steps the
+clock takes, a read at or after the latest hour written equals the union of
+the writes in its window. Keys are kept in write order, and the first write of
 each hour drops the keys at the front whose latest write has left the window.
 """
 
@@ -12,13 +14,11 @@ import enum
 from array import array
 from collections import OrderedDict
 
-from .routing import ID_LENGTH
 from .sketch import REGISTER_COUNT, HllSketch, register_of
 
 WINDOW_HOURS = 24
 MAX_KEYS = 65_536  # past this many keys, a new key evicts the least recently written
-EMPTY = 0xFF  # the age of a register that holds no pair
-_SPAN = 0x7F  # a base sits this many hours before the write that sets it
+_NEVER = 2**31 - 1  # the hour of a register that holds no pair, above any hour written
 
 
 class Polarity(enum.Enum):
@@ -32,85 +32,72 @@ _NEGATIVE = Polarity.NEGATIVE  # a global is read faster than an Enum class attr
 class VoteRing:
     """One key's window; registers 0-255 are positive, 256-511 negative.
 
-    A register's oldest pair is in ``rank`` and, as hour less ``base``, in
-    ``age``; its later, lower pairs (rare) are in ``tails``. A write in a new
-    latest hour drops the pairs that left the window, so a read mostly copies
-    ``rank``. A write over 5 days before ``base`` restarts the window. Both
-    arrays are 512 bytes, small enough for Python's own allocator.
+    A register's oldest pair is in ``hour`` and ``rank``; its later, lower
+    pairs (rare) are in ``tails``. A write in a new latest hour drops the
+    pairs that left the window, so a read mostly copies ``rank``. A write
+    from an earlier hour, however far back, joins its register's pairs like
+    any other: nothing restarts the window.
     """
 
-    __slots__ = ("age", "base", "low", "newest", "rank", "tails")
+    __slots__ = ("hour", "low", "newest", "rank", "tails")
 
     def __init__(self, hour: int) -> None:
-        self.age = array("B", [EMPTY]) * (2 * REGISTER_COUNT)
+        self.hour = array("i", [_NEVER]) * (2 * REGISTER_COUNT)
         self.rank = array("B", bytes(2 * REGISTER_COUNT))
         self.tails: dict[int, list[tuple[int, int]]] = {}
-        self.newest = hour  # the latest hour written
-        self.base, self.low = hour - _SPAN, _SPAN  # low: at most min(age) and newest's age
+        self.newest = self.low = hour  # low: at most min(self.hour) and newest
 
     def add(self, index: int, rank: int, hour: int) -> None:
         """Keep (hour, rank) in register index, dropping the pairs it beats."""
         if hour > self.newest:
             self.newest = hour
-            self._expire(hour - WINDOW_HOURS - self.base)
-            if hour - self.base >= EMPTY:
-                self._rebase(hour - _SPAN)
-        age = hour - self.base
+            self._expire(hour - WINDOW_HOURS)
         if hour < self.newest or index in self.tails:  # the clock stepped back, or a rare tail
-            return self._insert(index, rank, age)
+            return self._insert(index, rank, hour)
         # no pair is newer than this write, so it beats the head unless ranked lower
         if rank >= self.rank[index]:
-            self.age[index], self.rank[index] = age, rank
-        elif age > self.age[index]:
-            self.tails[index] = [(age, rank)]
+            self.hour[index], self.rank[index] = hour, rank
+        elif hour > self.hour[index]:
+            self.tails[index] = [(hour, rank)]
 
-    def _insert(self, index: int, rank: int, age: int) -> None:
-        if age < 0:  # the clock stepped back over _SPAN hours: start afresh
-            self.__init__(age + self.base)
-            age = _SPAN
-        self.low = min(self.low, age)
+    def _insert(self, index: int, rank: int, hour: int) -> None:
+        self.low = min(self.low, hour)
         head = self.rank[index]
-        pairs = [(self.age[index], head), *self.tails.pop(index, ())] if head else []
-        if all(a < age or r < rank for a, r in pairs):  # no pair this hour or later matches it
-            pairs = sorted([p for p in pairs if p[0] > age or p[1] > rank] + [(age, rank)])
+        pairs = [(self.hour[index], head), *self.tails.pop(index, ())] if head else []
+        if all(h < hour or r < rank for h, r in pairs):  # no pair this hour or later matches it
+            pairs = sorted([p for p in pairs if p[0] > hour or p[1] > rank] + [(hour, rank)])
         self._put(index, pairs)
 
     def _put(self, index: int, pairs: list[tuple[int, int]]) -> None:
         """Make pairs, oldest first, the register's whole list."""
-        (self.age[index], self.rank[index]), *tail = pairs or [(EMPTY, 0)]
+        (self.hour[index], self.rank[index]), *tail = pairs or [(_NEVER, 0)]
         if tail:
             self.tails[index] = tail
 
     def _heads_after(self, cutoff: int) -> bool:
-        """Whether every register's oldest pair has an age above cutoff."""
+        """Whether every register's oldest pair is from an hour after cutoff."""
         if self.low <= cutoff:
-            self.low = min(min(self.age), self.newest - self.base)
+            self.low = min(min(self.hour), self.newest)
         return self.low > cutoff
 
     def _expire(self, cutoff: int) -> None:
-        """Drop the pairs whose age is cutoff or less."""
+        """Drop the pairs from cutoff or earlier."""
         if not self._heads_after(cutoff):
-            for index, age in enumerate(self.age):
-                if age <= cutoff and self.rank[index]:
+            for index, hour in enumerate(self.hour):
+                if hour <= cutoff:
                     self._put(index, [p for p in self.tails.pop(index, ()) if p[0] > cutoff])
-
-    def _rebase(self, base: int) -> None:
-        shift = self.base - base
-        self.age = array("B", (a + shift if r else EMPTY for a, r in zip(self.age, self.rank)))
-        self.tails = {i: [(a + shift, r) for a, r in t] for i, t in self.tails.items()}
-        self.base, self.low = base, 0
 
     def in_window(self, now_hour: int) -> tuple[HllSketch, HllSketch]:
         """The positive and negative sketches of the writes in the window."""
-        cutoff = now_hour - WINDOW_HOURS - self.base
+        cutoff = now_hour - WINDOW_HOURS
         registers = self.rank
-        if now_hour - WINDOW_HOURS >= self.newest:  # every write has left the window
+        if cutoff >= self.newest:  # every write has left the window
             registers = bytes(2 * REGISTER_COUNT)
         elif not self._heads_after(cutoff):
             registers = bytearray(registers)
-            for index, age in enumerate(self.age):
-                if age <= cutoff and registers[index]:
-                    live = (r for a, r in self.tails.get(index, ()) if a > cutoff)
+            for index, hour in enumerate(self.hour):
+                if hour <= cutoff:
+                    live = (r for h, r in self.tails.get(index, ()) if h > cutoff)
                     registers[index] = next(live, 0)
         view = memoryview(registers)
         return HllSketch(view[:REGISTER_COUNT]), HllSketch(view[REGISTER_COUNT:])
@@ -131,8 +118,6 @@ class VoteStore:
 
     def record(self, key: bytes, polarity: Polarity, voter_ip: bytes, now: float) -> None:
         """Add one vote from voter_ip to key's window at the current hour."""
-        if len(key) != ID_LENGTH:
-            raise ValueError(f"vote key must be {ID_LENGTH} bytes, got {len(key)}")
         hour = int(now) // 3600
         rings = self._rings
         if hour != self._swept_hour:  # a ring only expires as the hour turns
@@ -151,7 +136,5 @@ class VoteStore:
 
     def aggregate(self, key: bytes, now: float) -> tuple[HllSketch, HllSketch]:
         """The in-window sketches of key; zeros for an absent key."""
-        if len(key) != ID_LENGTH:
-            raise ValueError(f"vote key must be {ID_LENGTH} bytes, got {len(key)}")
         ring = self._rings.get(key)
         return ring.in_window(int(now) // 3600) if ring is not None else (HllSketch(), HllSketch())
