@@ -25,7 +25,6 @@ from operator import itemgetter
 
 from . import krpc
 from .node import VoteNode, vote_key
-from .routing import LookupFailedError
 from .sketch import REGISTER_COUNT, HllSketch, checked_registers, nonzero_indices
 
 _ONE = b"\0" + b"\x01" * 255  # translate table: any nonzero register -> 1
@@ -47,13 +46,13 @@ def robust_combine(sketches: list[HllSketch]) -> HllSketch:
     """
     if not sketches:
         raise ValueError("no sketches to combine")
+    if len(sketches) > 255:  # a register's count of nonzero sketches fills a byte
+        raise ValueError("can combine at most 255 sketches")
     if len(sketches) < 3:
         return HllSketch.union(sketches)
     registers = checked_registers(sketches)
     n = len(registers)
     mid = (n - 1) // 2
-    if n > 255:  # a register's count of nonzero sketches would not fit in a byte
-        return HllSketch(bytes(sorted(values)[mid] for values in zip(*registers)))
     # A lower median is nonzero only where at least n - mid sketches are.
     # Count those per register in one packed int, a byte each, and sort
     # only the columns that reach n - mid; every other register stays 0.
@@ -73,10 +72,7 @@ def robust_combine(sketches: list[HllSketch]) -> HllSketch:
 
 def fetch_votes(node: VoteNode, info_hash: bytes) -> VoteResult:
     """Look up the replica set for info_hash and aggregate its vote counts."""
-    try:
-        replicas = node.get_votes_lookup(vote_key(info_hash))
-    except LookupFailedError:
-        return VoteResult(0, 0, 0, False)
+    replicas = node.get_votes_lookup(vote_key(info_hash))
 
     positives: list[HllSketch] = []
     negatives: list[HllSketch] = []

@@ -49,6 +49,7 @@ from .routing import ID_LENGTH, Contact
 from .sketch import REGISTER_COUNT, nonzero_indices
 
 _COMPACT_CONTACT = struct.Struct("!20s4sH")  # 26 bytes: id, IPv4, port
+MAX_DATAGRAM = 2048  # bytes a node reads of one datagram; NodeConfig bounds k to fit
 
 # Mainline error codes
 SERVER_ERROR = 202

@@ -34,9 +34,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 
 from . import krpc
 from .krpc import ProtocolError, Query, Response, ErrorMessage
-from .routing import (
-    ID_LENGTH, Contact, LookupFailedError, RoutingTable, iterative_lookup,
-)
+from .routing import ID_LENGTH, Contact, RoutingTable, iterative_lookup
 from .store import Polarity, VoteStore
 
 log = logging.getLogger(__name__)
@@ -44,6 +42,9 @@ log = logging.getLogger(__name__)
 TOKEN_ROTATION_SECONDS = 300  # previous secret stays valid one extra rotation
 SILENT_SECONDS = 900  # BEP 5's 15 minutes: an id whose query failed is skipped this long
 LOOKUP_QUERIES_PER_K = 8  # a lookup sends at most this many times k queries
+# A get_votes reply of k contacts, two dense sketches, an 8-byte token and a
+# 2-byte tid takes 2,034 bytes at k = 55; one contact more outgrows a datagram.
+MAX_K = 55
 JOURNAL_FILENAME = "votes.log"
 _JOURNAL_LINE = re.compile(r"([0-9a-fA-F]{40}),([+-]1),([0-9]+)")  # hash, sign, unix seconds
 _POLARITY = {polarity.value: polarity for polarity in Polarity}  # faster than Polarity(v)
@@ -72,6 +73,11 @@ class NodeConfig:
         for value in (self.k, self.alpha):
             if type(value) is not int or value < 1:  # bool is not a count
                 raise ValueError("k and alpha must be integers of at least 1")
+        if self.k > MAX_K:
+            raise ValueError(
+                f"k must be at most {MAX_K}: a get_votes reply of more contacts "
+                f"outgrows a {krpc.MAX_DATAGRAM}-byte datagram"
+            )
         if not 0 < self.announce_period < 3600:
             raise ValueError("announce_period must be above 0 and under one hour")
         if type(self.query_timeout) not in (int, float) or not 0 < self.query_timeout < float("inf"):
@@ -383,7 +389,8 @@ class VoteNode:
         return [contact for contact in contacts[: self.config.k] if contact.id != self.node_id]
 
     def lookup(self, target: bytes) -> list[Contact]:
-        """Iterative find_node lookup of the k closest responsive contacts."""
+        """Iterative find_node lookup of the k closest responsive contacts;
+        ``[]`` when no contact answers."""
         closest = self._lookup(
             target, lambda tid, t: krpc.find_node_query(tid, self.node_id, t)
         )
@@ -395,7 +402,8 @@ class VoteNode:
         """Iterative lookup that queries with get_votes.
 
         Returns the k closest responders to key, each with its get_votes
-        reply (token, and sketches unless ``no_votes``).
+        reply (token, and sketches unless ``no_votes``); ``[]`` when no
+        contact answers.
         """
         return self._lookup(
             key, lambda tid, t: krpc.get_votes_query(tid, self.node_id, t, no_votes)
@@ -417,8 +425,6 @@ class VoteNode:
                 probe = self._ping_address(address)
                 if probe is not None:
                     seeds.append(probe)
-        if not seeds:
-            raise LookupFailedError("routing table empty and no bootstrap reachable")
         replies: dict[bytes, Response] = {}
         budget = LOOKUP_QUERIES_PER_K * self.config.k
 
@@ -452,10 +458,7 @@ class VoteNode:
 
     def bootstrap(self) -> None:
         """Join the network via the configured contacts."""
-        try:
-            self.lookup(self.node_id)
-        except LookupFailedError:
-            pass
+        self.lookup(self.node_id)
 
     def reload_journal(self) -> None:
         """Take in the journal's votes if it changed since the last load,
@@ -512,16 +515,13 @@ class VoteNode:
         order; builtin ``map`` runs them one after another, and an
         executor's ``map`` runs them concurrently. Returns, per info-hash,
         the contacted replicas and whether each announce succeeded; a
-        failed lookup leaves an empty list and the vote is simply retried
-        next round.
+        lookup that no contact answers leaves an empty list and the vote
+        is simply retried next round.
         """
 
         def announce(vote: LocalVote) -> tuple[bytes, list[tuple[Contact, bool]]]:
             key = vote_key(vote.info_hash)
-            try:
-                replicas = self.get_votes_lookup(key, no_votes=True)
-            except LookupFailedError:
-                return vote.info_hash, []
+            replicas = self.get_votes_lookup(key, no_votes=True)
             return vote.info_hash, [
                 (replica[0], self.announce_vote_to(replica, key, vote.polarity.value))
                 for replica in replicas

@@ -16,14 +16,6 @@ ID_BITS = 160
 ID_LENGTH = 20
 
 
-class LookupFailedError(Exception):
-    """A lookup had no contact to start from, or none of its contacts responded.
-
-    ``iterative_lookup`` raises it, and so does ``VoteNode._lookup`` when the
-    routing table is empty and no bootstrap node answers.
-    """
-
-
 def distance(a: bytes, b: bytes) -> int:
     """XOR of two 160-bit ids as a big-endian unsigned integer."""
     return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
@@ -165,7 +157,8 @@ def iterative_lookup(
     Each wave queries the alpha nearest unqueried candidates closer than
     the k-th responder, both taken at the wave's start. A candidate's
     distance is computed once, when it first appears: unqueried ones wait
-    in a heap, responders are kept sorted.
+    in a heap, responders are kept sorted. With no seed, or no seed that
+    answers, the result is ``[]``.
     """
     target_int = int.from_bytes(target, "big")
     seen: set[bytes] = set()
@@ -179,9 +172,6 @@ def iterative_lookup(
                 heapq.heappush(unqueried, (d, contact))
 
     consider(seeds)
-    if not unqueried:
-        raise LookupFailedError("no contacts to start from")
-
     responders: list[tuple[int, Contact]] = []  # ascending distance
     while True:
         wave = []
@@ -198,7 +188,4 @@ def iterative_lookup(
             if found is not None:
                 bisect.insort(responders, entry)
                 consider(found)
-
-    if not responders:
-        raise LookupFailedError("no contact responded")
     return [contact for _, contact in responders[:k]]

@@ -311,8 +311,6 @@ class SimWorld:
 
     def churn(self) -> None:
         count = round(self.config.churn_rate * len(self.peers))
-        if count == 0:
-            return
         for peer in self.rng.sample(self.peers, count):
             self.replace_peer(peer.index)
 
@@ -385,8 +383,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     # initial announce seeds the replicas at t=0 (a cast triggers a round)
     for index in range(len(world.peers)):
-        if world.peers[index].node.local_votes:
-            world.announce(index)
+        world.announce(index)
 
     # schedule: per-peer announces at a stable per-slot offset, churn on the
     # hour, probes one second before each hour boundary
@@ -408,8 +405,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     for when, action, index in sorted(events, key=lambda event: event[0]):
         world.time = when
         if action == "announce":
-            if world.peers[index].node.local_votes:
-                world.announce(index)
+            world.announce(index)
         elif action == "churn":
             world.churn()
         else:

@@ -9,8 +9,8 @@ replica sketches would not union correctly, so none of this is configurable.
 A sketch's 256 registers, in index order, are its dense wire form; on the
 get_votes wire a sketch with fewer than 128 nonzero registers goes sparse
 (``krpc.pack_sketch``).
-Two sketches take at most 512 bytes either way, which keeps a full get_votes
-response inside a single UDP datagram.
+Two sketches take at most 512 bytes either way; with them, ``NodeConfig``'s
+bound on k keeps the fullest get_votes response inside ``krpc.MAX_DATAGRAM``.
 """
 
 from __future__ import annotations

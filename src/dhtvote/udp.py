@@ -27,8 +27,6 @@ from .store import Polarity
 
 log = logging.getLogger(__name__)
 
-_RECV_BUFFER = 2048
-
 
 class UdpTransport:
     def __init__(self, bind: Address, timeout: float = NodeConfig.query_timeout):
@@ -77,7 +75,7 @@ class UdpTransport:
     def _recv_loop(self) -> None:
         while self._running:
             try:
-                data, source = self._sock.recvfrom(_RECV_BUFFER)
+                data, source = self._sock.recvfrom(krpc.MAX_DATAGRAM)
             except socket.timeout:
                 continue
             except OSError:

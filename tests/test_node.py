@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from dhtvote import krpc
 from dhtvote.client import fetch_votes
 from dhtvote.node import (
-    LOOKUP_QUERIES_PER_K, SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
+    LOOKUP_QUERIES_PER_K, MAX_K, SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
     vote_key,
 )
-from dhtvote.routing import Contact, LookupFailedError, distance
+from dhtvote.routing import Contact, distance
 from dhtvote.sim import ScenarioConfig, SimWorld
+from dhtvote.sketch import MAX_RANK, REGISTER_COUNT
 from dhtvote.store import Polarity
 
 from conftest import FakeClock, NullTransport, make_test_node, table_contact
@@ -86,6 +87,26 @@ def test_config_rejects_bad_transport_settings(name, value):
     with pytest.raises(ValueError, match=name):
         NodeConfig(**{name: value})
     NodeConfig(query_timeout=1, query_retries=0)  # the least values allowed
+
+
+def fullest_get_votes_reply(k):
+    """The largest get_votes reply a node sends: k contacts, two dense
+    sketches, an 8-byte token and a 2-byte tid."""
+    contacts = [Contact(bytes([i]) * 20, "255.255.255.255", 65535) for i in range(k)]
+    dense = krpc.pack_sketch(bytes([MAX_RANK]) * REGISTER_COUNT)
+    nodes = krpc.pack_contacts(contacts)
+    reply = krpc.get_votes_response(b"tt", b"n" * 20, b"k" * 8, nodes, dense, dense)
+    return krpc.encode_message(reply)
+
+
+def test_k_is_bounded_so_the_fullest_get_votes_reply_fits_one_datagram():
+    assert len(fullest_get_votes_reply(MAX_K)) <= krpc.MAX_DATAGRAM
+    assert len(fullest_get_votes_reply(MAX_K + 1)) > krpc.MAX_DATAGRAM
+    NodeConfig(k=MAX_K)
+    with pytest.raises(ValueError, match=f"at most {MAX_K}"):
+        NodeConfig(k=MAX_K + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_K}"):
+        ScenarioConfig(k=MAX_K + 1).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +502,7 @@ def test_reply_without_well_formed_nodes_is_not_a_responder(clock):
     node.routing.insert(peer)
     for values in ({}, {b"nodes": b"x" * 25}):
         node.transport = StubTransport(peer.id, values)
-        with pytest.raises(LookupFailedError):
-            node.lookup(TARGET)
+        assert node.lookup(TARGET) == []
     node.transport = StubTransport(peer.id, {b"nodes": b""})
     assert [contact.id for contact in node.lookup(TARGET)] == [peer.id]
 

@@ -85,7 +85,7 @@ class FakePeers:
         while self._running:
             for key, _ in self._selector.select(timeout=0.05):
                 sock, peer_id = key.fileobj, key.data.id
-                data, source = sock.recvfrom(2048)
+                data, source = sock.recvfrom(krpc.MAX_DATAGRAM)
                 query = krpc.decode_message(data)
                 if not isinstance(query, krpc.Query):
                     continue  # the client's answer to our ping
@@ -385,6 +385,43 @@ def test_run_forever_announces_each_period_until_stopped():
     assert any(vote_key(info_hash) in server.node.store for server in servers)
 
 
+def test_run_forever_outlives_a_round_that_raises(caplog):
+    """A failed round is logged, the next period still announces, and
+    stop() ends the loop."""
+    server = UdpNodeRunner(client_config([]))
+    server.start()
+    config = client_config([server.local_address])
+    client = UdpNodeRunner(dataclasses.replace(config, announce_period=0.2))
+    info_hash = b"\x07" * 20
+    calls = []
+    announce_round = client.announce_round
+
+    def failing_once():
+        calls.append(time.monotonic())
+        if len(calls) == 1:
+            raise RuntimeError("round failed")
+        return announce_round()
+
+    client.announce_round = failing_once
+    thread = threading.Thread(target=client.run_forever)
+    try:
+        client.start()
+        client.cast_vote(info_hash, Polarity.POSITIVE)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while vote_key(info_hash) not in server.node.store and time.monotonic() < deadline:
+            time.sleep(0.02)
+    finally:
+        stopping = time.monotonic()
+        client.stop()
+        thread.join(timeout=2.0)
+        stop_seconds = time.monotonic() - stopping
+        server.stop()
+    assert not thread.is_alive() and stop_seconds < 1.0
+    assert len(calls) >= 2 and vote_key(info_hash) in server.node.store
+    assert "announce round failed" in caplog.text
+
+
 def test_concurrent_requests_that_draw_one_tid_are_both_delivered():
     """ROADMAP item 2: two requests pending on one peer at once never share a
     tid, though the random source repeats one; the node draws again."""
@@ -578,3 +615,33 @@ def test_runner_survives_malformed_datagrams():
         pinger.stop()
         target.stop()
     assert reply is not None and reply.values[b"id"] == target.node.node_id
+
+
+def test_handler_exception_leaves_the_receive_thread_answering(monkeypatch, caplog):
+    """A query whose handler raises is logged and unanswered; the next one
+    is answered."""
+    handle_datagram = VoteNode.handle_datagram
+    raised = []
+
+    def failing_once(self, data, source):
+        if not raised:
+            raised.append(source)
+            raise RuntimeError("handler failed")
+        return handle_datagram(self, data, source)
+
+    monkeypatch.setattr(VoteNode, "handle_datagram", failing_once)
+    target = UdpNodeRunner(client_config([]))
+    pinger = UdpNodeRunner(client_config([], timeout=0.3))
+    try:
+        target.start()
+        pinger.start()
+        first = ping(pinger, target.local_address)
+        second = ping(pinger, target.local_address)
+        assert target.transport._thread.is_alive()
+        assert raised == [pinger.local_address]
+    finally:
+        pinger.stop()
+        target.stop()
+    assert first is None
+    assert second is not None and second.values[b"id"] == target.node.node_id
+    assert "datagram handler failed" in caplog.text
