@@ -17,8 +17,9 @@ The two voting methods:
   announce_vote  args {id, target, vote (1 or -1), token};
                  response {id}.
 
-This module builds and parses messages; ``VoteNode.handle_query`` checks
-each query argument where it reads it, with ``id_arg`` for the 20-byte ids.
+This module builds queries and parses messages; ``VoteNode.handle_query``
+writes each reply and checks each query argument where it reads it, with
+``id_arg`` for the 20-byte ids.
 
 Lookups for the voting methods run with get_votes as the lookup query, the
 way BEP 5 runs get_peers: the k closest responders have then already sent
@@ -208,38 +209,6 @@ def announce_vote_query(
         "announce_vote",
         {b"id": node_id, b"target": target, b"vote": vote, b"token": token},
     )
-
-
-# ---------------------------------------------------------------------------
-# response builders
-
-
-def ping_response(tid: bytes, node_id: bytes) -> Response:
-    return Response(tid, {b"id": node_id})
-
-
-def find_node_response(tid: bytes, node_id: bytes, nodes: bytes) -> Response:
-    return Response(tid, {b"id": node_id, b"nodes": nodes})
-
-
-def get_votes_response(
-    tid: bytes,
-    node_id: bytes,
-    token: bytes,
-    nodes: bytes,
-    vp: bytes | None = None,
-    vn: bytes | None = None,
-) -> Response:
-    values: dict[bytes, object] = {b"id": node_id, b"token": token, b"nodes": nodes}
-    if vp is not None:
-        values[b"vp"] = vp
-    if vn is not None:
-        values[b"vn"] = vn
-    return Response(tid, values)
-
-
-def announce_vote_response(tid: bytes, node_id: bytes) -> Response:
-    return Response(tid, {b"id": node_id})
 
 
 # ---------------------------------------------------------------------------

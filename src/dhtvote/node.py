@@ -277,22 +277,21 @@ class VoteNode:
         tid, args, method = query.tid, query.args, query.method
         sender = Contact(krpc.id_arg(args, b"id"), source[0], source[1])
         if method == "ping":
-            self._insert_sender(sender)
-            return krpc.ping_response(tid, self.node_id)
+            self.routing.insert(sender)
+            return Response(tid, {b"id": self.node_id})
         if method in ("find_node", "get_votes"):
             target = krpc.id_arg(args, b"target")
-            self._insert_sender(sender)
+            self.routing.insert(sender)
             nodes = krpc.pack_contacts(self.routing.closest(target))
             if method == "find_node":
-                return krpc.find_node_response(tid, self.node_id, nodes)
-            token = self.tokens.issue(source)
-            vp = vn = None
+                return Response(tid, {b"id": self.node_id, b"nodes": nodes})
+            values = {b"id": self.node_id, b"token": self.tokens.issue(source), b"nodes": nodes}
             if args.get(b"nv") != 1:
                 positive, negative = self.store.aggregate(target, self.clock())
                 if not (positive.is_empty() and negative.is_empty()):
-                    vp = krpc.pack_sketch(positive.registers)
-                    vn = krpc.pack_sketch(negative.registers)
-            return krpc.get_votes_response(tid, self.node_id, token, nodes, vp, vn)
+                    values[b"vp"] = krpc.pack_sketch(positive.registers)
+                    values[b"vn"] = krpc.pack_sketch(negative.registers)
+            return Response(tid, values)
         if method == "announce_vote":
             target = krpc.id_arg(args, b"target")
             vote = args.get(b"vote")
@@ -301,16 +300,12 @@ class VoteNode:
             token = args.get(b"token")
             if not isinstance(token, bytes) or not token:
                 raise ProtocolError("missing announce token")
-            self._insert_sender(sender)
+            self.routing.insert(sender)
             if not self.tokens.valid(token, source):
                 raise ProtocolError("invalid or expired token")
             self.store.record(target, _POLARITY[vote], socket.inet_aton(source[0]), self.clock())
-            return krpc.announce_vote_response(tid, self.node_id)
+            return Response(tid, {b"id": self.node_id})
         raise ProtocolError(f"unknown method {method!r}", krpc.METHOD_UNKNOWN)
-
-    def _insert_sender(self, sender: Contact) -> None:
-        if sender.id != self.node_id:
-            self.routing.insert(sender)
 
     # ------------------------------------------------------------------
     # client side

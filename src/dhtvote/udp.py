@@ -117,7 +117,11 @@ class UdpNodeRunner:
     def __init__(self, config: NodeConfig, node_id: bytes | None = None):
         self.config = config
         self.transport = UdpTransport(config.bind, timeout=config.query_timeout)
-        self.node = VoteNode(config, self.transport, node_id=node_id)
+        try:
+            self.node = VoteNode(config, self.transport, node_id=node_id)
+        except BaseException:  # an unusable state dir, say: the socket must not leak
+            self.transport.stop()
+            raise
         self._lock = threading.Lock()
         self.transport.handler = self.node
         self._stop = threading.Event()

@@ -173,18 +173,18 @@ def _random_message(rng):
             tid, node_id, target, rng.choice([1, -1]), rng.randbytes(8)
         )
     if choice == 4:
-        return krpc.ping_response(tid, node_id)
+        return krpc.Response(tid, {b"id": node_id})
     if choice == 5:
         nodes = krpc.pack_contacts(
             [Contact(rng.randbytes(20), "203.0.113.1", 6881) for _ in range(rng.randrange(9))]
         )
-        return krpc.find_node_response(tid, node_id, nodes)
+        return krpc.Response(tid, {b"id": node_id, b"nodes": nodes})
     if choice == 6:
-        return krpc.get_votes_response(
-            tid, node_id, rng.randbytes(8), b"",
-            vp=bytes(rng.randrange(34) for _ in range(256)),
-            vn=bytes(rng.randrange(34) for _ in range(256)),
-        )
+        return krpc.Response(tid, {
+            b"id": node_id, b"token": rng.randbytes(8), b"nodes": b"",
+            b"vp": bytes(rng.randrange(34) for _ in range(256)),
+            b"vn": bytes(rng.randrange(34) for _ in range(256)),
+        })
     return krpc.ErrorMessage(tid, rng.choice([201, 202, 203, 204]), "boom")
 
 
@@ -355,13 +355,12 @@ def test_11_datagram_budget():
             Contact(rng.randbytes(20), "203.0.113.250", rng.randrange(1, 65536))
             for _ in range(8)
         ]
-        response = krpc.get_votes_response(
-            rng.randbytes(2),
-            rng.randbytes(20),
-            rng.randbytes(8),
-            krpc.pack_contacts(contacts),
-            vp=bytes(rng.randrange(34) for _ in range(256)),
-            vn=bytes(rng.randrange(34) for _ in range(256)),
-        )
+        response = krpc.Response(rng.randbytes(2), {
+            b"id": rng.randbytes(20),
+            b"token": rng.randbytes(8),
+            b"nodes": krpc.pack_contacts(contacts),
+            b"vp": bytes(rng.randrange(34) for _ in range(256)),
+            b"vn": bytes(rng.randrange(34) for _ in range(256)),
+        })
         worst = max(worst, len(krpc.encode_message(response)))
     verdict(11, "datagram budget", worst < 1200, f"largest={worst} bytes")

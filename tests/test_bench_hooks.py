@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dhtvote import client, krpc, node, routing, sim, sketch, store, udp
+from dhtvote import bencode, client, krpc, node, routing, sim, sketch, store, udp
 from dhtvote.node import NodeConfig
 from dhtvote.sim import ScenarioConfig, SimWorld
 
@@ -21,7 +21,7 @@ PERFBENCH = ROOT / "perfbench"
 
 # every module and class whose attributes the benchmark replaces
 OWNERS = (
-    client, node, routing, sim, sketch, store, udp,
+    bencode, client, krpc, node, routing, sim, sketch, store, udp,
     sketch.HllSketch, store.VoteStore, store.VoteRing, routing.RoutingTable,
     node.VoteNode, sim.VirtualNetwork, udp.UdpTransport,
 )
@@ -52,6 +52,8 @@ def test_benchmark_instrumentation_runs_and_restores(bench_modules):
     layers.instrument(tracer)
     try:
         for owner, name in [
+            (bencode, "encode"),
+            (krpc, "response_sketches"),
             (sketch.HllSketch, "merge"),
             (node.VoteNode, "announce_vote_to"),
             (udp.UdpTransport, "request"),

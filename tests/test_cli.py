@@ -115,6 +115,25 @@ def test_get_with_no_node_reachable_fails(capsys):
     assert "no node answered" in err
 
 
+def test_state_dir_that_is_a_file_fails_and_closes_the_socket(tmp_path, capsys):
+    state = tmp_path / "state"
+    state.write_text("")
+    rc = main(["--timeout", "0.2", "vote", "--state-dir", str(state), "--bootstrap",
+               "127.0.0.1:9", "--infohash", INFOHASH, "--polarity", "+1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bad_polarity_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["vote", "--state-dir", str(tmp_path), "--bootstrap", "127.0.0.1:9",
+              "--infohash", INFOHASH, "--polarity", "0"])
+    assert exit_info.value.code == 2
+    assert "argument --polarity: polarity must be +1 or -1" in capsys.readouterr().err
+
+
 def test_bad_infohash_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--timeout", "0.2", "get", "--bootstrap", "127.0.0.1:1", "--infohash", "zz"])
@@ -196,6 +215,10 @@ def test_simulate_deterministic_outputs(tmp_path, capsys):
     capsys.readouterr()
     # --seed overrides the file; identical seeds give identical bytes
     assert outputs[0].replace("report0", "X") == outputs[1].replace("report1", "X")
+    # without --out the report goes to stdout, the same bytes the file holds
+    rc = main(["simulate", "--scenario", str(scenario), "--seed", "7"])
+    assert rc == 0
+    assert capsys.readouterr().out == outputs[0]
 
 
 def test_simulate_rejects_bad_scenario(tmp_path, capsys):

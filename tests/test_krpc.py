@@ -16,7 +16,7 @@ def test_ping_round_trip():
     query = krpc.ping_query(b"aa", b"n" * 20)
     parsed = krpc.decode_message(krpc.encode_message(query))
     assert parsed == query
-    reply = krpc.ping_response(b"aa", b"m" * 20)
+    reply = krpc.Response(b"aa", {b"id": b"m" * 20})
     assert krpc.decode_message(krpc.encode_message(reply)) == reply
 
 
@@ -123,12 +123,11 @@ def test_any_sketch_value_gives_256_registers_or_protocol_error(blob):
 def test_get_votes_response_fits_one_datagram():
     rng = random.Random(2)
     contacts = [Contact(rand_id(rng), "203.0.113.7", 6881) for _ in range(8)]
-    response = krpc.get_votes_response(
-        b"tt",
-        rand_id(rng),
-        b"k" * 8,
-        krpc.pack_contacts(contacts),
-        vp=bytes(rng.randrange(34) for _ in range(256)),
-        vn=bytes(rng.randrange(34) for _ in range(256)),
-    )
+    response = krpc.Response(b"tt", {
+        b"id": rand_id(rng),
+        b"token": b"k" * 8,
+        b"nodes": krpc.pack_contacts(contacts),
+        b"vp": bytes(rng.randrange(34) for _ in range(256)),
+        b"vn": bytes(rng.randrange(34) for _ in range(256)),
+    })
     assert len(krpc.encode_message(response)) < 1200

@@ -95,7 +95,9 @@ def fullest_get_votes_reply(k):
     contacts = [Contact(bytes([i]) * 20, "255.255.255.255", 65535) for i in range(k)]
     dense = krpc.pack_sketch(bytes([MAX_RANK]) * REGISTER_COUNT)
     nodes = krpc.pack_contacts(contacts)
-    reply = krpc.get_votes_response(b"tt", b"n" * 20, b"k" * 8, nodes, dense, dense)
+    reply = krpc.Response(
+        b"tt", {b"id": b"n" * 20, b"token": b"k" * 8, b"nodes": nodes, b"vp": dense, b"vn": dense}
+    )
     return krpc.encode_message(reply)
 
 
@@ -118,7 +120,7 @@ def test_ping_and_routing_refresh(clock):
     reply = send(node, krpc.ping_query(b"aa", SENDER_ID))
     assert isinstance(reply, krpc.Response)
     assert reply.tid == b"aa"
-    assert reply.values[b"id"] == node.node_id
+    assert reply.values == {b"id": node.node_id}
     refreshed = table_contact(node.routing, SENDER_ID)
     assert refreshed is not None and refreshed.address == SOURCE
 
@@ -133,6 +135,7 @@ def test_find_node_returns_closest(clock):
             (f"10.9.0.{n}", 6881),
         )
     reply = send(node, krpc.find_node_query(b"fn", SENDER_ID, TARGET))
+    assert reply.values.keys() == {b"id", b"nodes"} and reply.values[b"id"] == node.node_id
     nodes = krpc.unpack_contacts(reply.values[b"nodes"])
     expected = [c.id for c in node.routing.closest(TARGET)]
     assert [n.id for n in nodes] == expected
@@ -142,8 +145,8 @@ def test_find_node_returns_closest(clock):
 def test_get_votes_without_data_has_no_sketches(clock):
     node = make_test_node(clock)
     reply = send(node, krpc.get_votes_query(b"gv", SENDER_ID, TARGET))
-    assert b"token" in reply.values and b"nodes" in reply.values
-    assert b"vp" not in reply.values and b"vn" not in reply.values
+    assert reply.values.keys() == {b"id", b"nodes", b"token"}
+    assert reply.values[b"id"] == node.node_id
 
 
 def test_announce_then_get_votes_round_trip(clock):
@@ -153,6 +156,7 @@ def test_announce_then_get_votes_round_trip(clock):
         node, krpc.announce_vote_query(b"av", SENDER_ID, TARGET, 1, token)
     )
     assert isinstance(reply, krpc.Response)
+    assert reply.values == {b"id": node.node_id}
     reply = send(node, krpc.get_votes_query(b"g2", SENDER_ID, TARGET))
     vp, vn = krpc.response_sketches(reply.values)
     assert sum(1 for b in vp if b) == 1  # one voter IP, one register
@@ -207,6 +211,22 @@ def test_invalid_vote_value_rejected(clock):
     )
     reply = send(node, query)
     assert isinstance(reply, krpc.ErrorMessage) and reply.code == 203
+
+
+def test_queries_carrying_the_nodes_own_id_are_answered_and_not_inserted(clock):
+    node = make_test_node(clock)
+    own = node.node_id
+    token = send(node, krpc.get_votes_query(b"t0", own, TARGET)).values[b"token"]
+    replies = [send(node, query) for query in (
+        krpc.ping_query(b"t1", own),
+        krpc.find_node_query(b"t2", own, TARGET),
+        krpc.get_votes_query(b"t3", own, TARGET),
+        krpc.announce_vote_query(b"t4", own, TARGET, 1, token),
+    )]
+    assert all(isinstance(reply, krpc.Response) for reply in replies)
+    assert [reply.values[b"id"] for reply in replies] == [own] * 4
+    assert round(node.store.aggregate(TARGET, clock())[0].estimate()) == 1
+    assert len(node.routing) == 0
 
 
 def test_unknown_method_yields_204(clock):
@@ -280,7 +300,7 @@ def test_get_votes_with_nv_omits_sketches(clock):
     node = make_test_node(clock)
     node.store.record(TARGET, Polarity.POSITIVE, b"\x0a\x00\x00\x01", clock())
     full = send(node, krpc.get_votes_query(b"g1", SENDER_ID, TARGET))
-    assert b"vp" in full.values and b"vn" in full.values
+    assert full.values.keys() == {b"id", b"nodes", b"token", b"vp", b"vn"}
     bare = send(node, krpc.get_votes_query(b"g2", SENDER_ID, TARGET, no_votes=True))
     assert bare.values.keys() == {b"id", b"token", b"nodes"}
     assert bare.values[b"token"] == full.values[b"token"]
@@ -314,7 +334,7 @@ def test_handler_drops_garbage_and_responses(clock):
     node = make_test_node(clock)
     assert node.handle_datagram(b"\xff\x00garbage", SOURCE) is None
     assert node.handle_datagram(b"", SOURCE) is None
-    unsolicited = krpc.encode_message(krpc.ping_response(b"t", SENDER_ID))
+    unsolicited = krpc.encode_message(krpc.Response(b"t", {b"id": SENDER_ID}))
     assert node.handle_datagram(unsolicited, SOURCE) is None
 
 
@@ -488,11 +508,11 @@ def test_send_query_takes_only_a_response_to_its_own_tid(clock):
     for raw in (
         b"\xffgarbage",
         krpc.encode_message(krpc.ErrorMessage(b"pq", krpc.SERVER_ERROR, "internal error")),
-        krpc.encode_message(krpc.ping_response(b"xx", SENDER_ID)),
+        krpc.encode_message(krpc.Response(b"xx", {b"id": SENDER_ID})),
     ):
         node.transport = RawTransport(raw)
         assert node.send_query(SOURCE, query) is None
-    node.transport = RawTransport(krpc.encode_message(krpc.ping_response(b"pq", SENDER_ID)))
+    node.transport = RawTransport(krpc.encode_message(krpc.Response(b"pq", {b"id": SENDER_ID})))
     assert node.send_query(SOURCE, query).values == {b"id": SENDER_ID}
 
 

@@ -51,8 +51,8 @@ def test_insert_update_and_pending():
     table.insert(contact(first.id))
     assert table_contact(table, first.id) is first  # updated in place
     assert len(table) == 1
-    with pytest.raises(ValueError):
-        table.insert(contact(own))
+    table.insert(contact(own))  # the table never holds its own id
+    assert len(table) == 1 and table_contact(table, own) is None
 
 
 def test_bucket_overflow_keeps_healthy_contacts():

@@ -199,6 +199,15 @@ def test_no_fault_scenario_accuracy_and_availability():
     assert empty.rows == []
     assert empty.availability == 1.0
     assert empty.mean_relative_error == empty.p99_relative_error == 0.0
+    # every peer silent: each fetch is unavailable, and one nobody answered
+    # measures no error, though every count it read was 0
+    dark = run_scenario(ScenarioConfig(seed=1, duration_hours=1, node_count=10,
+                                       document_count=1, positive_voters=2, negative_voters=1,
+                                       malicious_fraction=1.0, malicious_strategy="silent"))
+    assert [row["responders"] for row in dark.rows] == [0]
+    assert dark.rows[0]["true_pos"] == 2 and dark.rows[0]["est_pos"] == 0
+    assert dark.availability == 0.0
+    assert dark.mean_relative_error == dark.p99_relative_error == 0.0
 
 
 def test_same_seed_reproduces_report_byte_for_byte():

@@ -94,11 +94,11 @@ class FakePeers:
                         ping = krpc.ping_query(b"pg", peer_id)
                         sock.sendto(krpc.encode_message(ping), source)
                     nodes = self._listed(query)
-                    reply = krpc.get_votes_response(query.tid, peer_id, b"token", nodes)
+                    reply = krpc.Response(query.tid, {b"id": peer_id, b"token": b"token", b"nodes": nodes})
                 elif query.method == "find_node":
-                    reply = krpc.find_node_response(query.tid, peer_id, self._listed(query))
+                    reply = krpc.Response(query.tid, {b"id": peer_id, b"nodes": self._listed(query)})
                 else:  # ping and announce_vote both answer {id}
-                    reply = krpc.ping_response(query.tid, peer_id)
+                    reply = krpc.Response(query.tid, {b"id": peer_id})
                 sock.sendto(krpc.encode_message(reply), source)
 
     def close(self) -> None:
@@ -447,7 +447,7 @@ def test_concurrent_requests_that_draw_one_tid_are_both_delivered():
         received = [peer.recvfrom(2048) for _ in threads]
         for data, source in received:
             tid = krpc.decode_message(data).tid
-            peer.sendto(krpc.encode_message(krpc.ping_response(tid, b"\x02" * 20)), source)
+            peer.sendto(krpc.encode_message(krpc.Response(tid, {b"id": b"\x02" * 20})), source)
         for thread in threads:
             thread.join(timeout=2.0)
     finally:
@@ -486,7 +486,7 @@ def test_a_retry_resends_the_same_datagram_and_takes_its_reply():
         first, _ = peer.recvfrom(2048)  # left unanswered, so the try times out
         second, source = peer.recvfrom(2048)
         tid = krpc.decode_message(second).tid
-        peer.sendto(krpc.encode_message(krpc.ping_response(tid, b"\x02" * 20)), source)
+        peer.sendto(krpc.encode_message(krpc.Response(tid, {b"id": b"\x02" * 20})), source)
         thread.join(timeout=2.0)
         assert not thread.is_alive()
     finally:
