@@ -17,9 +17,10 @@ The two voting methods:
   announce_vote  args {id, target, vote (1 or -1), token};
                  response {id}.
 
-This module builds queries and parses messages; ``VoteNode.handle_query``
-writes each reply and checks each query argument where it reads it, with
-``id_arg`` for the 20-byte ids.
+This module builds queries and parses messages; ``encode_message`` writes
+the envelope in canonical key order and bencodes only its args, values or
+error list. ``VoteNode.handle_query`` writes each reply and checks each
+query argument where it reads it, with ``id_arg`` for the 20-byte ids.
 
 Lookups for the voting methods run with get_votes as the lookup query, the
 way BEP 5 runs get_peers: the k closest responders have then already sent
@@ -44,6 +45,8 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Container
 
 from . import bencode
 from .routing import ID_LENGTH, Contact
@@ -65,20 +68,20 @@ class ProtocolError(Exception):
         self.code = code
 
 
-@dataclass
+@dataclass(slots=True)
 class Query:
     tid: bytes
     method: str
     args: dict[bytes, object] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     tid: bytes
     values: dict[bytes, object] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class ErrorMessage:
     tid: bytes
     code: int
@@ -89,15 +92,17 @@ KrpcMessage = Query | Response | ErrorMessage
 
 
 def encode_message(msg: KrpcMessage) -> bytes:
+    # The envelope's keys in canonical order: a < q < t < y, e < t < y, r < t < y.
     if isinstance(msg, Query):
-        payload = {b"t": msg.tid, b"y": b"q", b"q": msg.method.encode(), b"a": msg.args}
-    elif isinstance(msg, Response):
-        payload = {b"t": msg.tid, b"y": b"r", b"r": msg.values}
-    elif isinstance(msg, ErrorMessage):
-        payload = {b"t": msg.tid, b"y": b"e", b"e": [msg.code, msg.message.encode()]}
-    else:
-        raise TypeError(f"not a KRPC message: {type(msg).__name__}")
-    return bencode.encode(payload)
+        method = msg.method.encode()
+        return b"d1:a%b1:q%d:%b1:t%d:%b1:y1:qe" % (
+            bencode.encode(msg.args), len(method), method, len(msg.tid), msg.tid)
+    if isinstance(msg, Response):
+        return b"d1:r%b1:t%d:%b1:y1:re" % (bencode.encode(msg.values), len(msg.tid), msg.tid)
+    if isinstance(msg, ErrorMessage):
+        return b"d1:e%b1:t%d:%b1:y1:ee" % (
+            bencode.encode([msg.code, msg.message.encode()]), len(msg.tid), msg.tid)
+    raise TypeError(f"not a KRPC message: {type(msg).__name__}")
 
 
 def decode_message(data: bytes) -> KrpcMessage:
@@ -145,12 +150,19 @@ def pack_contacts(contacts) -> bytes:
     return b"".join(pack(c.id, socket.inet_aton(c.ip), c.port) for c in contacts)
 
 
-def unpack_contacts(data: bytes) -> list[Contact]:
-    """Compact node bytes -> contacts; the inverse of pack_contacts."""
+def unpack_contacts(
+    data: bytes, skip: Container[bytes] = (), limit: int | None = None
+) -> list[Contact]:
+    """Compact node bytes -> contacts; the inverse of pack_contacts.
+
+    Of the first ``limit`` entries, those whose ids are in ``skip`` (a lookup's
+    own id and the ids it has seen) get no Contact. All of data is length-checked.
+    """
     if len(data) % _COMPACT_CONTACT.size != 0:
         raise ProtocolError("compact node info not a multiple of 26 bytes")
     return [Contact(node_id, socket.inet_ntoa(ip), port)
-            for node_id, ip, port in _COMPACT_CONTACT.iter_unpack(data)]
+            for node_id, ip, port in islice(_COMPACT_CONTACT.iter_unpack(data), limit)
+            if node_id not in skip]
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ class VoteNode:
         reply = self.send_query(contact.address, query)
         responder = self._responder_id(reply)
         if responder == contact.id:
-            self.routing.insert(Contact(contact.id, contact.ip, contact.port))
+            self.routing.insert(contact)
             return reply
         self.routing.remove(contact.id)
         if responder is not None:
@@ -371,17 +371,17 @@ class VoteNode:
             self._silent[contact.id] = now
         return None
 
-    def _reply_contacts(self, reply: Response) -> list[Contact] | None:
-        """The first k contacts in a find_node/get_votes reply; None if malformed."""
+    def _reply_contacts(self, reply: Response, seen: set[bytes]) -> list[Contact] | None:
+        """The first k contacts in a find_node/get_votes reply, less those
+        whose ids are in seen; None if malformed."""
         nodes = reply.values.get(b"nodes")
         if not isinstance(nodes, bytes):
             return None
         try:
-            contacts = krpc.unpack_contacts(nodes)
+            # an honest reply names at most k; more would only lengthen the lookup
+            return krpc.unpack_contacts(nodes, seen, self.config.k)
         except ProtocolError:
             return None
-        # an honest reply names at most k; more would only lengthen the lookup
-        return [contact for contact in contacts[: self.config.k] if contact.id != self.node_id]
 
     def lookup(self, target: bytes) -> list[Contact]:
         """Iterative find_node lookup of the k closest responsive contacts;
@@ -422,6 +422,10 @@ class VoteNode:
                     seeds.append(probe)
         replies: dict[bytes, Response] = {}
         budget = LOOKUP_QUERIES_PER_K * self.config.k
+        # Ids whose reply entries get no Contact: ours, the seeds and each reply's
+        # contacts. iterative_lookup keeps its own seen set all the same, since
+        # the routing tests and the benchmark's wrapper call it standalone.
+        seen = {self.node_id, *(contact.id for contact in seeds)}
 
         def query(contact: Contact, target: bytes) -> list[Contact] | None:
             nonlocal budget
@@ -432,9 +436,10 @@ class VoteNode:
                 return None  # replies that keep naming nearer contacts end here
             budget -= 1
             reply = self._query_contact(contact, make_query(self._new_tid(), target))
-            found = None if reply is None else self._reply_contacts(reply)
+            found = None if reply is None else self._reply_contacts(reply, seen)
             if found is not None:
                 replies[contact.id] = reply
+                seen.update(new.id for new in found)
             return found
 
         closest = iterative_lookup(

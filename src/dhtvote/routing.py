@@ -21,7 +21,7 @@ def distance(a: bytes, b: bytes) -> int:
     return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
 
 
-@dataclass
+@dataclass(slots=True)
 class Contact:
     id: bytes
     ip: str

@@ -119,7 +119,7 @@ class HllSketch:
         return HllSketch.union((self, other))
 
     def is_empty(self) -> bool:
-        return not any(self.registers)
+        return self.registers.count(0) == REGISTER_COUNT
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HllSketch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhtvote import krpc
+from dhtvote import bencode, krpc
 from dhtvote.routing import Contact
 
 
@@ -35,6 +35,38 @@ def test_all_query_builders_round_trip():
     ]
     for query in queries:
         assert krpc.decode_message(krpc.encode_message(query)) == query
+
+
+bencode_values = st.recursive(
+    st.integers() | st.binary(max_size=30),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.binary(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+bencode_dicts = st.dictionaries(st.binary(max_size=8), bencode_values, max_size=6)
+tids = st.binary(min_size=1, max_size=8)
+krpc_messages = st.one_of(
+    st.builds(krpc.Query, tids, st.text(st.characters(max_codepoint=127), max_size=16), bencode_dicts),
+    st.builds(krpc.Response, tids, bencode_dicts),
+    st.builds(krpc.ErrorMessage, tids, st.integers(), st.text(max_size=30)),
+)
+
+
+def envelope(message):
+    """The message as the one dict that bencodes to its datagram."""
+    if isinstance(message, krpc.Query):
+        return {b"t": message.tid, b"y": b"q", b"q": message.method.encode(), b"a": message.args}
+    if isinstance(message, krpc.Response):
+        return {b"t": message.tid, b"y": b"r", b"r": message.values}
+    return {b"t": message.tid, b"y": b"e", b"e": [message.code, message.message.encode()]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(krpc_messages)
+def test_encode_message_is_the_canonical_bencoding_of_the_envelope(message):
+    data = krpc.encode_message(message)
+    assert data == bencode.encode(envelope(message))
+    assert krpc.decode_message(data) == message
 
 
 def test_compact_contacts_round_trip():

@@ -520,11 +520,18 @@ def test_reply_without_well_formed_nodes_is_not_a_responder(clock):
     node = make_test_node(clock)
     peer = Contact(b"p" * 20, "10.0.0.12", 6881)
     node.routing.insert(peer)
-    for values in ({}, {b"nodes": b"x" * 25}):
+    # k + 1 whole contacts and a stray byte: the first k alone would be well formed
+    overlong = krpc.pack_contacts(
+        Contact(bytes([i]) * 20, "10.0.1.1", 6881) for i in range(node.config.k + 1)
+    ) + b"x"
+    for values in ({}, {b"nodes": b"x" * 25}, {b"nodes": overlong}):
         node.transport = StubTransport(peer.id, values)
         assert node.lookup(TARGET) == []
-    node.transport = StubTransport(peer.id, {b"nodes": b""})
-    assert [contact.id for contact in node.lookup(TARGET)] == [peer.id]
+    ours = Contact(node.node_id, "10.0.0.1", 6881)
+    # no contacts, or only ones the lookup has already seen (the peer, and us)
+    for nodes in (b"", krpc.pack_contacts([peer, ours])):
+        node.transport = StubTransport(peer.id, {b"nodes": nodes})
+        assert [contact.id for contact in node.lookup(TARGET)] == [peer.id]
 
 
 def test_announce_round_sends_no_announce_vote_without_a_token(clock):
