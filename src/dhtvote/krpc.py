@@ -17,10 +17,11 @@ The two voting methods:
   announce_vote  args {id, target, vote (1 or -1), token};
                  response {id}.
 
-This module builds queries and parses messages; ``encode_message`` writes
-the envelope in canonical key order and bencodes only its args, values or
-error list. ``VoteNode.handle_query`` writes each reply and checks each
-query argument where it reads it, with ``id_arg`` for the 20-byte ids.
+This module encodes and parses messages; ``encode_message`` writes the
+envelope in canonical key order and bencodes only its args, values or error
+list. The node writes each query (``VoteNode.send_query``) and each reply
+(``VoteNode.handle_query``), and checks each query argument where it reads
+it, with ``id_arg`` for the 20-byte ids.
 
 Lookups for the voting methods run with get_votes as the lookup query, the
 way BEP 5 runs get_peers: the k closest responders have then already sent
@@ -190,37 +191,6 @@ def _unpack_sketch(blob: bytes) -> bytes:
     if out.count(0) != REGISTER_COUNT - m:  # a repeated index or a zero rank
         raise ProtocolError("sparse sketch repeats an index or has a zero rank")
     return bytes(out)
-
-
-# ---------------------------------------------------------------------------
-# query builders
-
-
-def ping_query(tid: bytes, node_id: bytes) -> Query:
-    return Query(tid, "ping", {b"id": node_id})
-
-
-def find_node_query(tid: bytes, node_id: bytes, target: bytes) -> Query:
-    return Query(tid, "find_node", {b"id": node_id, b"target": target})
-
-
-def get_votes_query(
-    tid: bytes, node_id: bytes, target: bytes, no_votes: bool = False
-) -> Query:
-    args: dict[bytes, object] = {b"id": node_id, b"target": target}
-    if no_votes:
-        args[b"nv"] = 1
-    return Query(tid, "get_votes", args)
-
-
-def announce_vote_query(
-    tid: bytes, node_id: bytes, target: bytes, vote: int, token: bytes
-) -> Query:
-    return Query(
-        tid,
-        "announce_vote",
-        {b"id": node_id, b"target": target, b"vote": vote, b"token": token},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -310,18 +310,17 @@ class VoteNode:
     # ------------------------------------------------------------------
     # client side
 
-    def _new_tid(self) -> bytes:
-        return self._rand(2)
+    def send_query(self, address: Address, method: str, args: dict) -> Response | None:
+        """Send one query of method with args and our id, and resend the same
+        bytes up to query_retries times while no reply comes.
 
-    def send_query(self, address: Address, query: Query) -> Response | None:
-        """Send one query, and resend the same bytes up to query_retries
-        times while no reply comes; None on timeout or any reply but a
-        Response to it.
-
-        A query whose tid another pending request holds gets a new random tid.
+        The reply, if it is a Response to this query's tid that names a
+        well-formed id other than ours; None on timeout or any other reply.
+        The tid is drawn at random, again while another pending request holds it.
         """
+        query = Query(self._rand(2), method, {b"id": self.node_id, **args})
         while self._tids.setdefault(query.tid, query) is not query:  # an atomic test-and-set
-            query = Query(self._new_tid(), query.method, query.args)
+            query.tid = self._rand(2)
         try:
             data = krpc.encode_message(query)
             for _ in range(self.config.query_retries + 1):
@@ -338,16 +337,12 @@ class VoteNode:
             return None
         if not isinstance(reply, Response) or reply.tid != query.tid:
             return None
+        peer_id = reply.values.get(b"id")
+        if not isinstance(peer_id, bytes) or len(peer_id) != ID_LENGTH or peer_id == self.node_id:
+            return None
         return reply
 
-    def _responder_id(self, reply: Response | None) -> bytes | None:
-        """The well-formed id a reply names, unless it is ours; else None."""
-        peer_id = reply.values.get(b"id") if reply is not None else None
-        if isinstance(peer_id, bytes) and len(peer_id) == ID_LENGTH and peer_id != self.node_id:
-            return peer_id
-        return None
-
-    def _query_contact(self, contact: Contact, query: Query) -> Response | None:
+    def _query_contact(self, contact: Contact, method: str, args: dict) -> Response | None:
         """Query one contact; None unless the reply comes from contact.id.
 
         A reply carrying another id means a different node now holds that
@@ -355,14 +350,13 @@ class VoteNode:
         routing table and the one that answered is inserted instead. Any
         other failed query, a timeout included, marks the expected id silent.
         """
-        reply = self.send_query(contact.address, query)
-        responder = self._responder_id(reply)
-        if responder == contact.id:
+        reply = self.send_query(contact.address, method, args)
+        if reply is not None and reply.values[b"id"] == contact.id:
             self.routing.insert(contact)
             return reply
         self.routing.remove(contact.id)
-        if responder is not None:
-            self.routing.insert(Contact(responder, contact.ip, contact.port))
+        if reply is not None:
+            self.routing.insert(Contact(reply.values[b"id"], contact.ip, contact.port))
             return None
         with self._silent_lock:  # the marks of SILENT_SECONDS ago and before are forgotten
             now = self.clock()
@@ -386,10 +380,7 @@ class VoteNode:
     def lookup(self, target: bytes) -> list[Contact]:
         """Iterative find_node lookup of the k closest responsive contacts;
         ``[]`` when no contact answers."""
-        closest = self._lookup(
-            target, lambda tid, t: krpc.find_node_query(tid, self.node_id, t)
-        )
-        return [contact for contact, _ in closest]
+        return [contact for contact, _ in self._lookup(target, "find_node", {})]
 
     def get_votes_lookup(
         self, key: bytes, no_votes: bool = False
@@ -400,17 +391,15 @@ class VoteNode:
         reply (token, and sketches unless ``no_votes``); ``[]`` when no
         contact answers.
         """
-        return self._lookup(
-            key, lambda tid, t: krpc.get_votes_query(tid, self.node_id, t, no_votes)
-        )
+        return self._lookup(key, "get_votes", {b"nv": 1} if no_votes else {})
 
     def _lookup(
-        self, target: bytes, make_query: Callable[[bytes, bytes], Query]
+        self, target: bytes, method: str, args: dict
     ) -> list[tuple[Contact, Response]]:
         """The k closest responders to target, each with its reply.
 
-        ``make_query(tid, target)`` builds the query sent to each contact;
-        replies of contacts outside the k closest are discarded. Once the
+        Each contact gets a query of method with args and the target; replies
+        of contacts outside the k closest are discarded. Once the
         lookup has sent its budget of queries, it sends no more and ends on
         the responders it has.
         """
@@ -420,6 +409,7 @@ class VoteNode:
                 probe = self._ping_address(address)
                 if probe is not None:
                     seeds.append(probe)
+        args = {**args, b"target": target}
         replies: dict[bytes, Response] = {}
         budget = LOOKUP_QUERIES_PER_K * self.config.k
         # Ids whose reply entries get no Contact: ours, the seeds and each reply's
@@ -435,7 +425,7 @@ class VoteNode:
             if not budget:
                 return None  # replies that keep naming nearer contacts end here
             budget -= 1
-            reply = self._query_contact(contact, make_query(self._new_tid(), target))
+            reply = self._query_contact(contact, method, args)
             found = None if reply is None else self._reply_contacts(reply, seen)
             if found is not None:
                 replies[contact.id] = reply
@@ -448,11 +438,10 @@ class VoteNode:
         return [(contact, replies[contact.id]) for contact in closest]
 
     def _ping_address(self, address: Address) -> Contact | None:
-        reply = self.send_query(address, krpc.ping_query(self._new_tid(), self.node_id))
-        peer_id = self._responder_id(reply)
-        if peer_id is None:
+        reply = self.send_query(address, "ping", {})
+        if reply is None:
             return None
-        contact = Contact(peer_id, address[0], address[1])
+        contact = Contact(reply.values[b"id"], address[0], address[1])
         self.routing.insert(contact)
         return contact
 
@@ -499,8 +488,8 @@ class VoteNode:
         token = lookup_reply.values.get(b"token")
         if not isinstance(token, bytes) or not token:
             return False
-        query = krpc.announce_vote_query(self._new_tid(), self.node_id, key, vote_value, token)
-        return self._query_contact(contact, query) is not None
+        args = {b"target": key, b"vote": vote_value, b"token": token}
+        return self._query_contact(contact, "announce_vote", args) is not None
 
     def announce_round(
         self,

@@ -90,15 +90,14 @@ def test_03_window_semantics():
         clock.now = h * 3600.0 + 17
 
     hour(5)
+    args = {b"id": b"s" * 20, b"target": target}
     reply = krpc.decode_message(
-        node.handle_datagram(
-            krpc.encode_message(krpc.get_votes_query(b"t1", b"s" * 20, target)), source
-        )
+        node.handle_datagram(krpc.encode_message(krpc.Query(b"t1", "get_votes", args)), source)
     )
     token = reply.values[b"token"]
     node.handle_datagram(
         krpc.encode_message(
-            krpc.announce_vote_query(b"t2", b"s" * 20, target, 1, token)
+            krpc.Query(b"t2", "announce_vote", {**args, b"vote": 1, b"token": token})
         ),
         source,
     )
@@ -163,15 +162,16 @@ def _random_message(rng):
     target = rng.randbytes(20)
     choice = rng.randrange(8)
     if choice == 0:
-        return krpc.ping_query(tid, node_id)
+        return krpc.Query(tid, "ping", {b"id": node_id})
     if choice == 1:
-        return krpc.find_node_query(tid, node_id, target)
+        return krpc.Query(tid, "find_node", {b"id": node_id, b"target": target})
     if choice == 2:
-        return krpc.get_votes_query(tid, node_id, target)
+        return krpc.Query(tid, "get_votes", {b"id": node_id, b"target": target})
     if choice == 3:
-        return krpc.announce_vote_query(
-            tid, node_id, target, rng.choice([1, -1]), rng.randbytes(8)
-        )
+        return krpc.Query(tid, "announce_vote", {
+            b"id": node_id, b"target": target,
+            b"vote": rng.choice([1, -1]), b"token": rng.randbytes(8),
+        })
     if choice == 4:
         return krpc.Response(tid, {b"id": node_id})
     if choice == 5:

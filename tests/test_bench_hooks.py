@@ -100,8 +100,7 @@ def test_class_patch_after_start_sees_udp_queries(monkeypatch):
         runner.start()
         pinger.start()
         monkeypatch.setattr(node.VoteNode, "handle_datagram", counted)
-        query = krpc.ping_query(pinger.node._new_tid(), pinger.node.node_id)
-        reply = pinger.node.send_query(runner.local_address, query)
+        reply = pinger.node.send_query(runner.local_address, "ping", {})
     finally:
         pinger.stop()
         runner.stop()

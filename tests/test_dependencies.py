@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone: ``dependencies = []``."""
+"""The package runs on the standard library alone: ``dependencies = []``,
+and each of its modules uses every name it imports."""
 
 import ast
 import sys
@@ -38,3 +39,24 @@ def test_package_parses_at_the_declared_python_floor():
     assert paths
     for path in paths:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that path imports and never reads; ``from __future__`` is exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # ``import a.b`` binds a
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_module_uses_what_it_imports():
+    """__init__ is exempt: its imports are the package's exports."""
+    paths = [path for path in sorted((ROOT / "src" / "dhtvote").glob("*.py"))
+             if path.name != "__init__.py"]
+    assert paths
+    assert {path.name: unused_imports(path) for path in paths} == {path.name: [] for path in paths}

@@ -13,7 +13,7 @@ def rand_id(rng):
 
 
 def test_ping_round_trip():
-    query = krpc.ping_query(b"aa", b"n" * 20)
+    query = krpc.Query(b"aa", "ping", {b"id": b"n" * 20})
     parsed = krpc.decode_message(krpc.encode_message(query))
     assert parsed == query
     reply = krpc.Response(b"aa", {b"id": b"m" * 20})
@@ -25,13 +25,14 @@ def test_error_round_trip():
     assert krpc.decode_message(krpc.encode_message(err)) == err
 
 
-def test_all_query_builders_round_trip():
+def test_a_query_of_each_method_round_trips():
     rng = random.Random(1)
     queries = [
-        krpc.ping_query(b"t0", rand_id(rng)),
-        krpc.find_node_query(b"t1", rand_id(rng), rand_id(rng)),
-        krpc.get_votes_query(b"t2", rand_id(rng), rand_id(rng)),
-        krpc.announce_vote_query(b"t3", rand_id(rng), rand_id(rng), -1, b"token123"),
+        krpc.Query(b"t0", "ping", {b"id": rand_id(rng)}),
+        krpc.Query(b"t1", "find_node", {b"id": rand_id(rng), b"target": rand_id(rng)}),
+        krpc.Query(b"t2", "get_votes", {b"id": rand_id(rng), b"target": rand_id(rng)}),
+        krpc.Query(b"t3", "announce_vote", {b"id": rand_id(rng), b"target": rand_id(rng),
+                                            b"vote": -1, b"token": b"token123"}),
     ]
     for query in queries:
         assert krpc.decode_message(krpc.encode_message(query)) == query

@@ -37,9 +37,16 @@ def send(node, query, source=SOURCE):
 
 
 def get_token(node, source=SOURCE, target=TARGET):
-    reply = send(node, krpc.get_votes_query(b"t1", SENDER_ID, target), source)
+    query = krpc.Query(b"t1", "get_votes", {b"id": SENDER_ID, b"target": target})
+    reply = send(node, query, source)
     assert isinstance(reply, krpc.Response)
     return reply.values[b"token"]
+
+
+def announce(token, sender=SENDER_ID):
+    """An announce_vote query of a +1 vote on TARGET."""
+    args = {b"id": sender, b"target": TARGET, b"vote": 1, b"token": token}
+    return krpc.Query(b"av", "announce_vote", args)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +124,7 @@ def test_k_is_bounded_so_the_fullest_get_votes_reply_fits_one_datagram():
 
 def test_ping_and_routing_refresh(clock):
     node = make_test_node(clock)
-    reply = send(node, krpc.ping_query(b"aa", SENDER_ID))
+    reply = send(node, krpc.Query(b"aa", "ping", {b"id": SENDER_ID}))
     assert isinstance(reply, krpc.Response)
     assert reply.tid == b"aa"
     assert reply.values == {b"id": node.node_id}
@@ -131,10 +138,10 @@ def test_find_node_returns_closest(clock):
     for n in range(30):
         send(
             node,
-            krpc.ping_query(b"pp", rng.randbytes(20)),
+            krpc.Query(b"pp", "ping", {b"id": rng.randbytes(20)}),
             (f"10.9.0.{n}", 6881),
         )
-    reply = send(node, krpc.find_node_query(b"fn", SENDER_ID, TARGET))
+    reply = send(node, krpc.Query(b"fn", "find_node", {b"id": SENDER_ID, b"target": TARGET}))
     assert reply.values.keys() == {b"id", b"nodes"} and reply.values[b"id"] == node.node_id
     nodes = krpc.unpack_contacts(reply.values[b"nodes"])
     expected = [c.id for c in node.routing.closest(TARGET)]
@@ -144,7 +151,7 @@ def test_find_node_returns_closest(clock):
 
 def test_get_votes_without_data_has_no_sketches(clock):
     node = make_test_node(clock)
-    reply = send(node, krpc.get_votes_query(b"gv", SENDER_ID, TARGET))
+    reply = send(node, krpc.Query(b"gv", "get_votes", {b"id": SENDER_ID, b"target": TARGET}))
     assert reply.values.keys() == {b"id", b"nodes", b"token"}
     assert reply.values[b"id"] == node.node_id
 
@@ -152,12 +159,10 @@ def test_get_votes_without_data_has_no_sketches(clock):
 def test_announce_then_get_votes_round_trip(clock):
     node = make_test_node(clock)
     token = get_token(node)
-    reply = send(
-        node, krpc.announce_vote_query(b"av", SENDER_ID, TARGET, 1, token)
-    )
+    reply = send(node, announce(token))
     assert isinstance(reply, krpc.Response)
     assert reply.values == {b"id": node.node_id}
-    reply = send(node, krpc.get_votes_query(b"g2", SENDER_ID, TARGET))
+    reply = send(node, krpc.Query(b"g2", "get_votes", {b"id": SENDER_ID, b"target": TARGET}))
     vp, vn = krpc.response_sketches(reply.values)
     assert sum(1 for b in vp if b) == 1  # one voter IP, one register
     assert vn == bytes(256)
@@ -167,7 +172,7 @@ def test_vote_recorded_against_source_ip_not_claimed_id(clock):
     node = make_test_node(clock)
     for fake_sender in (b"p" * 20, b"q" * 20):  # same IP, different claimed ids
         token = get_token(node)
-        send(node, krpc.announce_vote_query(b"av", fake_sender, TARGET, 1, token))
+        send(node, announce(token, fake_sender))
     positive, _ = node.store.aggregate(TARGET, clock())
     assert round(positive.estimate()) == 1
 
@@ -176,7 +181,7 @@ def test_announce_same_ip_twice_counts_once(clock):
     node = make_test_node(clock)
     for _ in range(2):
         token = get_token(node)
-        send(node, krpc.announce_vote_query(b"av", SENDER_ID, TARGET, 1, token))
+        send(node, announce(token))
     positive, _ = node.store.aggregate(TARGET, clock())
     assert round(positive.estimate()) == 1
 
@@ -184,7 +189,7 @@ def test_announce_same_ip_twice_counts_once(clock):
 def test_token_for_other_source_rejected(clock):
     node = make_test_node(clock)
     token = get_token(node, source=("203.0.113.9", 1234))
-    reply = send(node, krpc.announce_vote_query(b"av", SENDER_ID, TARGET, 1, token))
+    reply = send(node, announce(token))
     assert isinstance(reply, krpc.ErrorMessage)
     assert (reply.code, reply.message) == (krpc.PROTOCOL_ERROR, "invalid or expired token")
     assert node.store.aggregate(TARGET, clock())[0].is_empty()
@@ -196,7 +201,7 @@ def test_stale_token_rejected(clock):
     node = make_test_node(clock)
     token = get_token(node)
     clock.advance(601)  # two rotations
-    reply = send(node, krpc.announce_vote_query(b"av", SENDER_ID, TARGET, 1, token))
+    reply = send(node, announce(token))
     assert isinstance(reply, krpc.ErrorMessage) and reply.code == 203
     assert node.store.aggregate(TARGET, clock())[0].is_empty()
 
@@ -216,12 +221,13 @@ def test_invalid_vote_value_rejected(clock):
 def test_queries_carrying_the_nodes_own_id_are_answered_and_not_inserted(clock):
     node = make_test_node(clock)
     own = node.node_id
-    token = send(node, krpc.get_votes_query(b"t0", own, TARGET)).values[b"token"]
+    get_votes = {b"id": own, b"target": TARGET}
+    token = send(node, krpc.Query(b"t0", "get_votes", get_votes)).values[b"token"]
     replies = [send(node, query) for query in (
-        krpc.ping_query(b"t1", own),
-        krpc.find_node_query(b"t2", own, TARGET),
-        krpc.get_votes_query(b"t3", own, TARGET),
-        krpc.announce_vote_query(b"t4", own, TARGET, 1, token),
+        krpc.Query(b"t1", "ping", {b"id": own}),
+        krpc.Query(b"t2", "find_node", {b"id": own, b"target": TARGET}),
+        krpc.Query(b"t3", "get_votes", get_votes),
+        krpc.Query(b"t4", "announce_vote", {**get_votes, b"vote": 1, b"token": token}),
     )]
     assert all(isinstance(reply, krpc.Response) for reply in replies)
     assert [reply.values[b"id"] for reply in replies] == [own] * 4
@@ -235,15 +241,16 @@ def test_unknown_method_yields_204(clock):
     assert isinstance(reply, krpc.ErrorMessage) and reply.code == 204
 
 
-def test_all_query_builders_pass_the_argument_checks(clock):
+def test_a_query_of_each_method_passes_the_argument_checks(clock):
     node = make_test_node(clock)
     rng = random.Random(1)
     ids = [rng.randbytes(20) for _ in range(7)]
     replies = [send(node, query) for query in (
-        krpc.ping_query(b"t0", ids[0]),
-        krpc.find_node_query(b"t1", ids[1], ids[2]),
-        krpc.get_votes_query(b"t2", ids[3], ids[4]),
-        krpc.announce_vote_query(b"t3", ids[5], ids[6], -1, b"token123"),
+        krpc.Query(b"t0", "ping", {b"id": ids[0]}),
+        krpc.Query(b"t1", "find_node", {b"id": ids[1], b"target": ids[2]}),
+        krpc.Query(b"t2", "get_votes", {b"id": ids[3], b"target": ids[4]}),
+        krpc.Query(b"t3", "announce_vote",
+                   {b"id": ids[5], b"target": ids[6], b"vote": -1, b"token": b"token123"}),
     )]
     assert all(isinstance(reply, krpc.Response) for reply in replies[:3])
     # the announce's arguments pass; only its made-up token is refused
@@ -299,9 +306,10 @@ def test_any_query_arguments_get_a_response_or_a_203_or_204(method, args):
 def test_get_votes_with_nv_omits_sketches(clock):
     node = make_test_node(clock)
     node.store.record(TARGET, Polarity.POSITIVE, b"\x0a\x00\x00\x01", clock())
-    full = send(node, krpc.get_votes_query(b"g1", SENDER_ID, TARGET))
+    args = {b"id": SENDER_ID, b"target": TARGET}
+    full = send(node, krpc.Query(b"g1", "get_votes", args))
     assert full.values.keys() == {b"id", b"nodes", b"token", b"vp", b"vn"}
-    bare = send(node, krpc.get_votes_query(b"g2", SENDER_ID, TARGET, no_votes=True))
+    bare = send(node, krpc.Query(b"g2", "get_votes", {**args, b"nv": 1}))
     assert bare.values.keys() == {b"id", b"token", b"nodes"}
     assert bare.values[b"token"] == full.values[b"token"]
 
@@ -325,7 +333,7 @@ def test_handler_that_raises_gives_a_server_error(clock, monkeypatch):
         raise RuntimeError("bug")
 
     monkeypatch.setattr(node, "handle_query", handle_query)
-    reply = send(node, krpc.ping_query(b"aa", SENDER_ID))
+    reply = send(node, krpc.Query(b"aa", "ping", {b"id": SENDER_ID}))
     assert isinstance(reply, krpc.ErrorMessage)
     assert (reply.tid, reply.code) == (b"aa", krpc.SERVER_ERROR)
 
@@ -503,17 +511,21 @@ class RawTransport:
 
 
 def test_send_query_takes_only_a_response_to_its_own_tid(clock):
-    node = make_test_node(clock)
-    query = krpc.ping_query(b"pq", node.node_id)
+    """A Response to its own tid counts only if it names a well-formed id other than ours."""
+    node = VoteNode(NodeConfig(), NullTransport(), clock=clock, node_id=b"\x01" * 20,
+                    rand_bytes=lambda n: b"pq" if n == 2 else bytes(n))  # every tid is b"pq"
     for raw in (
         b"\xffgarbage",
         krpc.encode_message(krpc.ErrorMessage(b"pq", krpc.SERVER_ERROR, "internal error")),
         krpc.encode_message(krpc.Response(b"xx", {b"id": SENDER_ID})),
+        *(krpc.encode_message(krpc.Response(b"pq", values)) for values in (
+            {b"id": node.node_id}, {b"id": SENDER_ID[:19]}, {}, {b"id": 7},
+        )),
     ):
         node.transport = RawTransport(raw)
-        assert node.send_query(SOURCE, query) is None
+        assert node.send_query(SOURCE, "ping", {}) is None
     node.transport = RawTransport(krpc.encode_message(krpc.Response(b"pq", {b"id": SENDER_ID})))
-    assert node.send_query(SOURCE, query).values == {b"id": SENDER_ID}
+    assert node.send_query(SOURCE, "ping", {}).values == {b"id": SENDER_ID}
 
 
 def test_reply_without_well_formed_nodes_is_not_a_responder(clock):
@@ -553,7 +565,7 @@ def test_reply_from_another_id_replaces_the_expected_one(clock):
     contact = Contact(old, "10.0.0.9", 6881)
     node.routing.insert(contact)
     node.transport = StubTransport(new)
-    assert node._query_contact(contact, krpc.ping_query(b"pq", node.node_id)) is None
+    assert node._query_contact(contact, "ping", {}) is None
     assert table_contact(node.routing, old) is None
     assert table_contact(node.routing, new).address == contact.address
     assert node._silent == {}  # the address answered
@@ -561,7 +573,7 @@ def test_reply_from_another_id_replaces_the_expected_one(clock):
         node.transport = StubTransport(bad)
         fresh = Contact(b"f" * 20, "10.0.0.10", 6881)
         node.routing.insert(fresh)
-        assert node._query_contact(fresh, krpc.ping_query(b"pq", node.node_id)) is None
+        assert node._query_contact(fresh, "ping", {}) is None
         assert table_contact(node.routing, fresh.id) is None
         assert node._silent == {fresh.id: clock()}
 
@@ -570,7 +582,7 @@ def test_a_contact_that_times_out_is_dropped_and_marked_silent(clock):
     node = make_test_node(clock)  # its NullTransport never gets a reply
     dead = Contact(b"d" * 20, "10.0.0.13", 6881)
     node.routing.insert(dead)
-    assert node._query_contact(dead, krpc.ping_query(b"pq", node.node_id)) is None
+    assert node._query_contact(dead, "ping", {}) is None
     assert table_contact(node.routing, dead.id) is None
     assert node._silent == {dead.id: clock()}
 
@@ -590,8 +602,7 @@ def test_concurrent_timeouts_leave_silent_consistent_and_bounded():
             for node_id in ids:
                 contact = Contact(node_id, "10.0.0.1", 6881)
                 node.routing.insert(contact)
-                ping = krpc.ping_query(node._new_tid(), node.node_id)
-                assert node._query_contact(contact, ping) is None
+                assert node._query_contact(contact, "ping", {}) is None
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -681,6 +692,36 @@ class OnePeer:
         ))
 
 
+class Server:
+    """Delivers every query to one node's handle_datagram, from SOURCE."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def request(self, address, data, kind):
+        return self.node.handle_datagram(data, SOURCE)
+
+
+def test_the_node_sends_each_query_with_exactly_its_arguments(clock):
+    server = make_test_node(clock, seed=1)
+    node = make_test_node(clock, bootstrap=[("10.0.0.20", 6881)])
+    recorder = node.transport = Recorder(Server(server))
+    assert [contact.id for contact in node.lookup(TARGET)] == [server.node_id]  # pings first
+    [replica] = node.get_votes_lookup(TARGET)
+    node.get_votes_lookup(TARGET, no_votes=True)
+    assert node.announce_vote_to(replica, TARGET, -1)
+    own = {b"id": node.node_id}
+    token = replica[1].values[b"token"]
+    assert [(query.method, query.args) for _, query, _ in recorder.sent] == [
+        ("ping", own),
+        ("find_node", {**own, b"target": TARGET}),
+        ("get_votes", {**own, b"target": TARGET}),
+        ("get_votes", {**own, b"target": TARGET, b"nv": 1}),
+        ("announce_vote", {**own, b"target": TARGET, b"vote": -1, b"token": token}),
+    ]
+    assert all(isinstance(krpc.decode_message(raw), krpc.Response) for _, _, raw in recorder.sent)
+
+
 class TidChecker:
     """Fails any request whose tid another pending request holds."""
 
@@ -707,7 +748,7 @@ def test_concurrent_queries_never_hold_one_tid(clock):
 
     def ping_many():
         for _ in range(300):
-            node.send_query(SOURCE, krpc.ping_query(node._new_tid(), node.node_id))
+            node.send_query(SOURCE, "ping", {})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -76,10 +76,11 @@ def test_malicious_peer_corrupts_only_get_votes_sketches():
     datagrams = [
         krpc.encode_message(query)
         for query in (
-            krpc.get_votes_query(b"gv", querier, key),
-            krpc.ping_query(b"pi", querier),
-            krpc.announce_vote_query(b"av", querier, key, 1, token),
-            krpc.get_votes_query(b"er", querier, b"short"),  # an error reply
+            krpc.Query(b"gv", "get_votes", {b"id": querier, b"target": key}),
+            krpc.Query(b"pi", "ping", {b"id": querier}),
+            krpc.Query(b"av", "announce_vote",
+                       {b"id": querier, b"target": key, b"vote": 1, b"token": token}),
+            krpc.Query(b"er", "get_votes", {b"id": querier, b"target": b"short"}),  # an error reply
         )
     ]
     expected = [honest.handle_datagram(data, source) for data in datagrams]
@@ -110,7 +111,7 @@ def test_silent_peer_costs_every_try_and_no_response():
         network.peers[silent] = MaliciousPeer(make_test_node(FakeClock()), "silent")
         node = make_test_node(FakeClock(), query_retries=retries)
         node.transport = SimTransport(network, ("10.0.0.2", SIM_PORT))
-        assert node.send_query(silent, krpc.ping_query(b"pi", node.node_id)) is None
+        assert node.send_query(silent, "ping", {}) is None
         assert network.datagrams == {"ping:query": retries + 1}
 
 

@@ -91,7 +91,7 @@ class FakePeers:
                     continue  # the client's answer to our ping
                 if query.method == "get_votes":
                     if self.ping_first:
-                        ping = krpc.ping_query(b"pg", peer_id)
+                        ping = krpc.Query(b"pg", "ping", {b"id": peer_id})
                         sock.sendto(krpc.encode_message(ping), source)
                     nodes = self._listed(query)
                     reply = krpc.Response(query.tid, {b"id": peer_id, b"token": b"token", b"nodes": nodes})
@@ -322,8 +322,7 @@ def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time():
             pinger = servers[0].node
             while not stop_pinging.wait(0.01):
                 if pinging.is_set():
-                    query = krpc.ping_query(pinger._new_tid(), pinger.node_id)
-                    pongs.append(pinger.send_query(client.local_address, query))
+                    pongs.append(pinger.send_query(client.local_address, "ping", {}))
 
         # quiet and noisy rounds alternate, so host contention falls on both
         ping_thread = threading.Thread(target=ping)
@@ -436,8 +435,7 @@ def test_concurrent_requests_that_draw_one_tid_are_both_delivered():
     replies = []
 
     def ping():
-        query = krpc.ping_query(node._new_tid(), node.node_id)
-        replies.append(node.send_query(peer.getsockname(), query))
+        replies.append(node.send_query(peer.getsockname(), "ping", {}))
 
     threads = [threading.Thread(target=ping) for _ in range(2)]
     try:
@@ -477,9 +475,8 @@ def test_a_retry_resends_the_same_datagram_and_takes_its_reply():
     peer.settimeout(2.0)
     node, transport = node_on_loopback(query_timeout=0.5, query_retries=1)
     replies = []
-    query = krpc.ping_query(node._new_tid(), node.node_id)
     thread = threading.Thread(
-        target=lambda: replies.append(node.send_query(peer.getsockname(), query))
+        target=lambda: replies.append(node.send_query(peer.getsockname(), "ping", {}))
     )
     try:
         thread.start()
@@ -508,7 +505,7 @@ def test_an_error_reply_ends_the_query_without_a_retry():
 
     def ping():
         started = time.perf_counter()
-        reply = node.send_query(peer.getsockname(), krpc.ping_query(b"pe", node.node_id))
+        reply = node.send_query(peer.getsockname(), "ping", {})
         outcome.append((reply, time.perf_counter() - started))
 
     thread = threading.Thread(target=ping)
@@ -532,8 +529,7 @@ def test_an_error_reply_ends_the_query_without_a_retry():
 
 
 def ping(pinger: UdpNodeRunner, address) -> krpc.Response | None:
-    node = pinger.node
-    return node.send_query(address, krpc.ping_query(node._new_tid(), node.node_id))
+    return pinger.node.send_query(address, "ping", {})
 
 
 def test_ping_is_answered_while_a_cast_syncs_the_journal(tmp_path, monkeypatch):
@@ -574,7 +570,7 @@ def wait_until_read(sender: socket.socket, address) -> bool:
     reads in order, so every datagram sent before has then been read, or
     dropped by the kernel when the socket's buffer was full."""
     sender.settimeout(0.5)
-    barrier = krpc.encode_message(krpc.ping_query(b"zz", b"\x02" * 20))
+    barrier = krpc.encode_message(krpc.Query(b"zz", "ping", {b"id": b"\x02" * 20}))
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
         sender.sendto(barrier, address)
@@ -594,7 +590,8 @@ def test_runner_survives_malformed_datagrams():
     target = UdpNodeRunner(client_config([]))
     pinger = UdpNodeRunner(client_config([], timeout=0.5))
     sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    query = krpc.encode_message(krpc.get_votes_query(b"gv", b"\x01" * 20, b"\x07" * 20))
+    query = krpc.encode_message(
+        krpc.Query(b"gv", "get_votes", {b"id": b"\x01" * 20, b"target": b"\x07" * 20}))
     datagrams = [rng.randbytes(rng.randint(1, 1500)) for _ in range(100)]
     datagrams += [query[:rng.randrange(len(query))] for _ in range(100)]
     for _ in range(100):
