@@ -180,6 +180,9 @@ def _cmd_get(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.out and Path(args.out).suffix == ".csv":
+        print("--out must not end in .csv: the CSV report goes there", file=sys.stderr)
+        return USAGE_ERROR
     try:
         config = ScenarioConfig.from_json(Path(args.scenario).read_text())
     except FileNotFoundError:

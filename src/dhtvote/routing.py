@@ -33,7 +33,7 @@ class Contact:
 
 
 class RoutingTable:
-    """160 k-buckets of contacts, ordered least- to most-recently seen.
+    """160 k-buckets, each a dict from id to contact, least recently seen first.
 
     Safe to share between threads: every method takes the table's lock and
     does no I/O while it holds it.
@@ -44,8 +44,7 @@ class RoutingTable:
             raise ValueError("node id must be 20 bytes")
         self.own_id = own_id
         self.k = k
-        self.buckets: list[list[Contact]] = [[] for _ in range(ID_BITS)]
-        self._contacts: dict[bytes, Contact] = {}  # every contact in buckets, by id
+        self.buckets: list[dict[bytes, Contact]] = [{} for _ in range(ID_BITS)]
         self._own_int = int.from_bytes(own_id, "big")
         self._occupied = 0  # bit i set: buckets[i] holds a contact
         self._lock = threading.Lock()
@@ -55,10 +54,10 @@ class RoutingTable:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._contacts)
+            return sum(map(len, self.buckets))
 
     def insert(self, contact: Contact) -> None:
-        """Add contact, or refresh it and move it to its bucket's tail.
+        """Add contact, or refresh it in place and move it to its bucket's tail.
 
         A full bucket drops the newcomer, and the table never holds its own
         id: a contact carrying it is ignored. A contact leaves the table
@@ -73,22 +72,13 @@ class RoutingTable:
         self._lock.acquire()
         try:
             bucket = self.buckets[index]
-            existing = self._contacts.get(contact.id)
+            existing = bucket.pop(contact.id, None)
             if existing is not None:
-                # a refresh rarely changes a field, and is often of the
-                # contact already at the tail
-                if existing.port != contact.port or existing.ip != contact.ip:
-                    existing.ip = contact.ip
-                    existing.port = contact.port
-                if bucket[-1] is not existing:
-                    for i, resident in enumerate(bucket):
-                        if resident is existing:
-                            bucket.append(bucket.pop(i))
-                            break
-                return
-            if len(bucket) < self.k:
-                bucket.append(contact)
-                self._contacts[contact.id] = contact
+                existing.ip = contact.ip
+                existing.port = contact.port
+                bucket[contact.id] = existing
+            elif len(bucket) < self.k:
+                bucket[contact.id] = contact
                 self._occupied |= 1 << index
         finally:
             self._lock.release()
@@ -96,12 +86,8 @@ class RoutingTable:
     def remove(self, node_id: bytes) -> None:
         index = self._bucket_index(node_id)
         with self._lock:
-            contact = self._contacts.pop(node_id, None)
-            if contact is None:
-                return
             bucket = self.buckets[index]
-            bucket.remove(contact)
-            if not bucket:
+            if bucket.pop(node_id, None) is not None and not bucket:
                 self._occupied &= ~(1 << index)
 
     def closest(self, target: bytes, k: int | None = None) -> list[Contact]:
@@ -130,11 +116,11 @@ class RoutingTable:
             while nearer and len(found) < k:
                 index = nearer.bit_length() - 1
                 nearer ^= 1 << index
-                found += sorted(self.buckets[index], key=dist)
+                found += sorted(self.buckets[index].values(), key=dist)
             while farther and len(found) < k:
                 lowest = farther & -farther
                 farther ^= lowest
-                found += sorted(self.buckets[lowest.bit_length() - 1], key=dist)
+                found += sorted(self.buckets[lowest.bit_length() - 1].values(), key=dist)
         return found[:k]
 
 

@@ -47,7 +47,7 @@ class ScenarioConfig:
     alpha: int = NodeConfig.alpha
     announce_period: float = NodeConfig.announce_period
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("churn_rate", "message_loss", "malicious_fraction"):
             value = getattr(self, name)
             if isinstance(value, bool) or not 0.0 <= value <= 1.0:
@@ -88,9 +88,7 @@ class ScenarioConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        config = cls(**raw)
-        config.validate()
-        return config
+        return cls(**raw)
 
 
 @dataclass
@@ -194,13 +192,11 @@ class MaliciousPeer:
         return krpc.encode_message(response)
 
 
+@dataclass(slots=True)
 class SimPeer:
-    __slots__ = ("index", "address", "node")
-
-    def __init__(self, index: int, address, node: VoteNode):
-        self.index = index
-        self.address = address
-        self.node = node
+    index: int
+    address: tuple[str, int]
+    node: VoteNode
 
 
 @dataclass
@@ -227,7 +223,6 @@ class SimWorld:
     """A running network of simulated nodes under a virtual clock."""
 
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.config = config
         self.rng = random.Random(config.seed)
         self.time = 0.0
@@ -378,7 +373,7 @@ def _percentile(values: list[float], fraction: float) -> float:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Run one full scenario: build, announce, churn, probe hourly, report."""
-    world = SimWorld(config)  # validates config
+    world = SimWorld(config)
     world.build()
 
     # initial announce seeds the replicas at t=0 (a cast triggers a round)

@@ -29,8 +29,7 @@ class NullTransport:
 
 def table_contact(table, node_id):
     """The contact with node_id in its bucket of the routing table, or None."""
-    bucket = table.buckets[distance(table.own_id, node_id).bit_length() - 1]
-    return next((c for c in bucket if c.id == node_id), None)
+    return table.buckets[distance(table.own_id, node_id).bit_length() - 1].get(node_id)
 
 
 @pytest.fixture

@@ -221,6 +221,19 @@ def test_simulate_deterministic_outputs(tmp_path, capsys):
     assert capsys.readouterr().out == outputs[0]
 
 
+def test_simulate_out_with_the_csv_suffix_is_usage_error(tmp_path, capsys):
+    """The CSV goes to --out with its suffix replaced by .csv, so an --out
+    ending in .csv would have the CSV overwrite the JSON report."""
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(
+        {"node_count": 10, "positive_voters": 2, "negative_voters": 1, "duration_hours": 1}
+    ))
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert "--out must not end in .csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"node_count": 1}')

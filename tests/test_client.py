@@ -6,7 +6,6 @@ from dhtvote import client, krpc
 from dhtvote.client import fetch_votes, robust_combine
 from dhtvote.sim import ScenarioConfig, SimWorld
 from dhtvote.sketch import HllSketch
-from dhtvote.store import Polarity
 
 
 def random_sketch(rng, items=50):

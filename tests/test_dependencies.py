@@ -1,5 +1,5 @@
 """The package runs on the standard library alone: ``dependencies = []``,
-and each of its modules uses every name it imports."""
+and each of its modules, and each test module, uses every name it imports."""
 
 import ast
 import sys
@@ -55,8 +55,12 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_every_module_uses_what_it_imports():
-    """__init__ is exempt: its imports are the package's exports."""
+    """The package's modules and the tests, conftest included. The package's
+    __init__ is exempt: its imports are the package's exports."""
     paths = [path for path in sorted((ROOT / "src" / "dhtvote").glob("*.py"))
              if path.name != "__init__.py"]
-    assert paths
-    assert {path.name: unused_imports(path) for path in paths} == {path.name: [] for path in paths}
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert paths and ROOT / "tests" / "conftest.py" in tests
+    paths += tests
+    assert ({str(path.relative_to(ROOT)): unused_imports(path) for path in paths}
+            == {str(path.relative_to(ROOT)): [] for path in paths})

@@ -115,7 +115,7 @@ def test_k_is_bounded_so_the_fullest_get_votes_reply_fits_one_datagram():
     with pytest.raises(ValueError, match=f"at most {MAX_K}"):
         NodeConfig(k=MAX_K + 1)
     with pytest.raises(ValueError, match=f"at most {MAX_K}"):
-        ScenarioConfig(k=MAX_K + 1).validate()
+        ScenarioConfig(k=MAX_K + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -169,20 +169,70 @@ def test_table_stays_consistent_under_concurrent_use():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
 
-    everyone = [c for bucket in table.buckets for c in bucket]
+    everyone = [c for bucket in table.buckets for c in bucket.values()]
     assert len({c.id for c in everyone}) == len(everyone) == len(table)
     occupied = 0
     for index, bucket in enumerate(table.buckets):
         assert len(bucket) <= table.k
-        for c in bucket:
+        for node_id, c in bucket.items():
             assert table._bucket_index(c.id) == index
-            assert table._contacts[c.id] is c
+            assert node_id == c.id
         if bucket:
             occupied |= 1 << index
     assert table._occupied == occupied
     for target in ids[:20] + [own]:
         ranked = sorted(everyone, key=lambda c: distance(c.id, target))
         assert table.closest(target, 8) == ranked[:8]
+
+
+def test_table_matches_a_list_model_of_k_buckets():
+    """Inserts, refreshes at a new address and removes, against plain lists.
+
+    The model keeps each bucket as a list, least recently seen first: a
+    refresh moves its contact to the tail, and a full bucket drops the
+    newcomer.
+    """
+    for seed in range(20):
+        rng = random.Random(seed)
+        own = make_id(rng)
+        own_int = int.from_bytes(own, "big")
+        k = rng.randrange(1, 6)
+        table = RoutingTable(own, k)
+        # ids that differ from own in the low 5 bits fill buckets 0-4, so
+        # buckets overflow; the pool holds own too
+        pool = sorted({own} | {
+            (own_int ^ rng.getrandbits(rng.randrange(1, 6))).to_bytes(ID_LENGTH, "big")
+            for _ in range(30)
+        })
+        model: list[list[tuple[bytes, str, int]]] = [[] for _ in range(ID_BITS)]
+        for _ in range(400):
+            held = [entry for bucket in model for entry in bucket]
+            op = rng.random()
+            if op < 0.35 and held:  # a refresh at a new address
+                node_id = rng.choice(held)[0]
+            else:
+                node_id = rng.choice(pool)
+            index = distance(own, node_id).bit_length() - 1
+            bucket = model[index] if node_id != own else []  # own is never held
+            old = [entry for entry in bucket if entry[0] == node_id]
+            if op < 0.7:
+                new = (node_id, f"10.0.0.{rng.randrange(1, 255)}", rng.randrange(1, 65536))
+                table.insert(Contact(*new))
+                if old:
+                    bucket.remove(old[0])
+                if old or len(bucket) < k:
+                    bucket.append(new)
+            else:
+                table.remove(node_id)
+                if old:
+                    bucket.remove(old[0])
+
+            assert [[(c.id, c.ip, c.port) for c in b.values()] for b in table.buckets] == model
+            everyone = [entry[0] for bucket in model for entry in bucket]
+            assert len(table) == len(everyone)
+            target = rng.choice(pool) if rng.random() < 0.5 else make_id(rng)
+            ranked = sorted(everyone, key=lambda i: distance(i, target))
+            assert [c.id for c in table.closest(target)] == ranked[:k]
 
 
 class StaticNetwork:

@@ -25,17 +25,17 @@ SMALL = dict(node_count=40, document_count=3, positive_voters=10, negative_voter
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ScenarioConfig(churn_rate=1.5).validate()
+        ScenarioConfig(churn_rate=1.5)
     with pytest.raises(ValueError):
-        ScenarioConfig(node_count=1).validate()
+        ScenarioConfig(node_count=1)
     with pytest.raises(ValueError):
-        ScenarioConfig(node_count=10, positive_voters=20).validate()
+        ScenarioConfig(node_count=10, positive_voters=20)
     with pytest.raises(ValueError):
-        ScenarioConfig(malicious_strategy="ddos").validate()
+        ScenarioConfig(malicious_strategy="ddos")
     with pytest.raises(ValueError):
-        ScenarioConfig(k=0).validate()
+        ScenarioConfig(k=0)
     with pytest.raises(ValueError):
-        ScenarioConfig(alpha=0).validate()
+        ScenarioConfig(alpha=0)
     # a seed, count, k, alpha or rate of the wrong type, and a period too
     # short for the schedule's offsets, are rejected before the run
     for bad in (
@@ -45,7 +45,7 @@ def test_config_validation():
         dict(seed=None), dict(seed=1.5), dict(duration_hours=0), dict(document_count=-1),
     ):
         with pytest.raises(ValueError):
-            ScenarioConfig(**bad).validate()
+            ScenarioConfig(**bad)
     with pytest.raises(ValueError):
         ScenarioConfig.from_json('{"warp_speed": 9}')
     with pytest.raises(ValueError):
