@@ -26,9 +26,10 @@ it, with ``id_arg`` for the 20-byte ids.
 Lookups for the voting methods run with get_votes as the lookup query, the
 way BEP 5 runs get_peers: the k closest responders have then already sent
 their token and sketches. An announce sends ``nv`` = 1 on its lookup and
-then announce_vote with each replica's token; a fetch combines the
-sketches of the lookup's k closest responders. A replica that ignores
-``nv`` stays compatible, because the announce path ignores sketches.
+then announce_vote with the token of each replica that may lack the vote;
+a fetch combines the sketches of the lookup's k closest responders. A
+replica that ignores ``nv`` stays compatible, because the announce path
+ignores sketches.
 
 A sketch travels in one of two forms, told apart by length, in the style of
 HLL++'s sparse mode (Heule, Nunkesser & Hall, EDBT 2013). Exactly 256 bytes

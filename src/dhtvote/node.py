@@ -13,7 +13,8 @@ Incoming votes are always recorded against the observed UDP source IP,
 never anything claimed in the message; the get_votes/announce_vote token
 handshake exists to stop spoofed sources. The token rides on the get_votes
 replies of the announce's own lookup, so an announce costs one lookup plus
-one announce_vote per replica.
+one announce_vote per replica that may lack the vote (Kademlia's republish
+shortcut, see announce_round).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 from . import krpc
 from .krpc import ProtocolError, Query, Response, ErrorMessage
 from .routing import ID_LENGTH, Contact, RoutingTable, iterative_lookup
-from .store import Polarity, VoteStore
+from .store import WINDOW_HOURS, Polarity, VoteStore
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +46,10 @@ LOOKUP_QUERIES_PER_K = 8  # a lookup sends at most this many times k queries
 # A get_votes reply of k contacts, two dense sketches, an 8-byte token and a
 # 2-byte tid takes 2,034 bytes at k = 55; one contact more outgrows a datagram.
 MAX_K = 55
+# A replica that acknowledged a vote gets it again once this long has passed
+# since the vote's last full announce: half the store's window, so a vote is
+# rewritten within REANNOUNCE_SECONDS + announce_period, under 13 hours.
+REANNOUNCE_SECONDS = WINDOW_HOURS * 3600 // 2
 JOURNAL_FILENAME = "votes.log"
 _JOURNAL_LINE = re.compile(r"([0-9a-fA-F]{40}),([+-]1),([0-9]+)")  # hash, sign, unix seconds
 _POLARITY = {polarity.value: polarity for polarity in Polarity}  # faster than Polarity(v)
@@ -217,7 +222,8 @@ class VoteNode:
     runner on one receive thread and one cast lock, the simulator on one
     thread. Announce rounds, and the votes' tasks within one, may run
     concurrently, so the transaction ids they hold are claimed in one atomic
-    step; each announce uses the token of its own lookup's reply.
+    step; each announce uses its own lookup's token, and a round replaces a
+    vote's announce record whole.
     A contact whose query gets no usable reply leaves the routing table, and
     lookups send its id nothing for SILENT_SECONDS, whichever reply names it.
     A lookup sends at most LOOKUP_QUERIES_PER_K × k queries, however many
@@ -242,6 +248,9 @@ class VoteNode:
         self.tokens = TokenIssuer(clock, rand_bytes)
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
+        # info-hash -> (time of the vote's last full announce, the compact
+        # contacts of the replicas that acknowledged it since)
+        self._announced: dict[bytes, tuple[float, bytes]] = {}
         self._tids: dict[bytes, Query] = {}  # tid -> the query send_query is sending with it
         self._silent: dict[bytes, float] = {}  # id -> when a query to it last failed
         self._silent_lock = threading.Lock()  # held to change _silent, never to read it
@@ -503,18 +512,32 @@ class VoteNode:
         ``map_tasks(task, votes)`` runs them and yields their results in
         order; builtin ``map`` runs them one after another, and an
         executor's ``map`` runs them concurrently. Returns, per info-hash,
-        the contacted replicas and whether each announce succeeded; a
-        lookup that no contact answers leaves an empty list and the vote
-        is simply retried next round.
+        the replicas found and whether each holds the vote: True if it
+        acknowledged this round's announce, or was sent none because its id
+        and address acknowledged one since the vote's last full announce,
+        under REANNOUNCE_SECONDS ago. A lookup that no contact answers
+        leaves an empty list and the vote is simply retried next round.
         """
 
         def announce(vote: LocalVote) -> tuple[bytes, list[tuple[Contact, bool]]]:
             key = vote_key(vote.info_hash)
             replicas = self.get_votes_lookup(key, no_votes=True)
-            return vote.info_hash, [
-                (replica[0], self.announce_vote_to(replica, key, vote.polarity.value))
-                for replica in replicas
-            ]
+            now = self.clock()
+            since, held = self._announced.get(vote.info_hash, (now, b""))
+            if now - since >= REANNOUNCE_SECONDS:
+                since, held = now, b""  # a full announce: every replica gets the vote
+            report, acked = [], []
+            for replica in replicas:
+                entry = krpc.pack_contacts(replica[:1])
+                # held only on an entry boundary; find's -1 is none
+                ok = held.find(entry) % len(entry) == 0 or self.announce_vote_to(
+                    replica, key, vote.polarity.value
+                )
+                if ok:
+                    acked.append(entry)
+                report.append((replica[0], ok))
+            self._announced[vote.info_hash] = (since, b"".join(acked))
+            return vote.info_hash, report
 
         if votes is None:
             votes = list(self.local_votes.values())

@@ -164,6 +164,6 @@ class UdpNodeRunner:
             except Exception:
                 log.exception("announce round failed")
             else:
-                delivered = sum(ok for sends in report.values() for _, ok in sends)
-                log.info("announce round: %d votes, %d deliveries", len(report), delivered)
+                held = sum(ok for sends in report.values() for _, ok in sends)
+                log.info("announce round: %d votes, %d replicas hold them", len(report), held)
             self._stop.wait(started + self.config.announce_period - time.time())

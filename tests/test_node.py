@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhtvote import krpc
+from dhtvote import krpc, store
 from dhtvote.client import fetch_votes
 from dhtvote.node import (
-    LOOKUP_QUERIES_PER_K, MAX_K, SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
+    LOOKUP_QUERIES_PER_K, MAX_K, REANNOUNCE_SECONDS, SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
     vote_key,
 )
 from dhtvote.routing import Contact, distance
@@ -944,3 +944,186 @@ def test_replica_that_ignores_nv_still_receives_the_announce():
     ]
     assert legacy_replies and all(b"vp" in values for values in legacy_replies)
     assert round(legacy.node.store.aggregate(key, world.time)[0].estimate()) == 2
+
+
+# ---------------------------------------------------------------------------
+# the republish shortcut: announce_vote only to replicas that may lack the vote
+
+INFO_HASH = b"\x42" * 20
+KEY = vote_key(INFO_HASH)
+
+
+def near_key(distance_to_key: int) -> bytes:
+    """The id at distance_to_key from KEY."""
+    return (int.from_bytes(KEY, "big") ^ distance_to_key).to_bytes(20, "big")
+
+
+class Replicas:
+    """Fake nodes keyed by address. Each get_votes reply carries a token and
+    lists every node; announce_vote gets ``{id}``, no reply from an address in
+    ``timeout``, and a 203 error from one in ``reject``."""
+
+    def __init__(self, contacts):
+        self.contacts = list(contacts)
+        self.timeout, self.reject = set(), set()
+        self.announced = []  # the address of each announce_vote sent
+
+    def request(self, address, data, kind):
+        query = krpc.decode_message(data)
+        ids = {contact.address: contact.id for contact in self.contacts}
+        if kind == "announce_vote":
+            self.announced.append(address)
+            if address in self.timeout:
+                return None
+            if address in self.reject:
+                return krpc.encode_message(krpc.ErrorMessage(
+                    query.tid, krpc.PROTOCOL_ERROR, "invalid or expired token"))
+        if address not in ids:
+            return None
+        values = {b"id": ids[address]}
+        if kind == "get_votes":
+            values.update({b"token": b"tk", b"nodes": krpc.pack_contacts(self.contacts)})
+        return krpc.encode_message(krpc.Response(query.tid, values))
+
+
+def shortcut_voter(clock, distance_base=0):
+    """A voter that knows 8 replicas, at distances distance_base + 1..8 from
+    KEY, and has cast a vote on INFO_HASH; no retries, so each announce is
+    one request."""
+    voter = make_test_node(clock, query_retries=0)
+    replicas = voter.transport = Replicas(
+        Contact(near_key(distance_base + i), f"10.0.0.{i}", 6881) for i in range(1, 9)
+    )
+    for contact in replicas.contacts:
+        voter.routing.insert(contact)
+    voter.cast_vote(INFO_HASH, Polarity.POSITIVE)
+    return voter, replicas
+
+
+def announced_round(voter, replicas):
+    """One round: ({address: ok} of the report, addresses sent announce_vote)."""
+    replicas.announced.clear()
+    [report] = voter.announce_round().values()
+    return {contact.address: ok for contact, ok in report}, set(replicas.announced)
+
+
+def test_a_second_round_sends_replicas_that_hold_the_vote_nothing(clock):
+    voter, replicas = shortcut_voter(clock)
+    everyone = {contact.address for contact in replicas.contacts}
+    assert announced_round(voter, replicas) == (dict.fromkeys(everyone, True), everyone)
+    clock.advance(voter.config.announce_period)
+    assert announced_round(voter, replicas) == (dict.fromkeys(everyone, True), set())
+
+
+def test_a_replica_at_a_new_id_or_address_gets_the_vote(clock):
+    voter, replicas = shortcut_voter(clock)
+    announced_round(voter, replicas)
+    renamed, moved = replicas.contacts[:2]
+    replicas.contacts[0] = Contact(near_key(9), renamed.ip, renamed.port)  # a new node there
+    replicas.contacts[1] = Contact(moved.id, "10.0.1.2", 6881)
+    # the moved node queries the voter from its new address, which updates the table
+    send(voter, krpc.Query(b"pg", "ping", {b"id": moved.id}), ("10.0.1.2", 6881))
+    clock.advance(voter.config.announce_period)
+    report, announced = announced_round(voter, replicas)
+    assert announced == {renamed.address, ("10.0.1.2", 6881)}
+    assert report == {contact.address: True for contact in replicas.contacts}
+
+
+def test_an_announce_that_failed_is_sent_again_the_next_round(clock):
+    voter, replicas = shortcut_voter(clock)
+    silent, rejecting = replicas.contacts[0].address, replicas.contacts[1].address
+    replicas.timeout.add(silent)
+    replicas.reject.add(rejecting)
+    report, announced = announced_round(voter, replicas)
+    assert announced == {contact.address for contact in replicas.contacts}
+    assert [address for address, ok in report.items() if not ok] == [silent, rejecting]
+    replicas.timeout.clear()
+    replicas.reject.clear()
+    clock.advance(SILENT_SECONDS)  # the failed ids are no longer skipped as silent
+    report, announced = announced_round(voter, replicas)
+    assert announced == {silent, rejecting}
+    assert all(report.values()) and len(report) == 8
+
+
+def test_at_reannounce_seconds_every_replica_gets_the_vote_again(clock):
+    voter, replicas = shortcut_voter(clock)
+    everyone = {contact.address for contact in replicas.contacts}
+    start = clock()
+    announced_round(voter, replicas)
+    clock.now = start + REANNOUNCE_SECONDS - 1
+    assert announced_round(voter, replicas)[1] == set()
+    clock.now = start + REANNOUNCE_SECONDS
+    assert announced_round(voter, replicas)[1] == everyone
+    clock.advance(voter.config.announce_period)  # the full announce started a new record
+    assert announced_round(voter, replicas)[1] == set()
+
+
+def test_the_announce_record_holds_only_the_current_replicas(clock):
+    """k nearer nodes replace the k replicas: the record holds the new k alone."""
+    voter, replicas = shortcut_voter(clock, distance_base=1 << 100)
+    announced_round(voter, replicas)
+    near = [Contact(near_key(i), f"10.0.2.{i}", 6881) for i in range(1, 9)]
+    replicas.contacts[:0] = near  # a reply's first k contacts are the ones read
+    clock.advance(voter.config.announce_period)
+    report, announced = announced_round(voter, replicas)
+    assert announced == set(report) == {contact.address for contact in near}
+    since, held = voter._announced[INFO_HASH]
+    assert sorted(held[i:i + 26] for i in range(0, len(held), 26)) == sorted(
+        krpc.pack_contacts([contact]) for contact in near
+    )
+
+
+def test_concurrent_rounds_leave_every_record_whole(clock):
+    """Twelve rounds of five votes on six threads, switching often: each
+    vote's record ends holding all 8 replicas, so the next round sends none."""
+    voter, replicas = shortcut_voter(clock)
+    for i in range(4):
+        voter.cast_vote(bytes([i]) * 20, Polarity.NEGATIVE)
+    reports, errors = [], []
+
+    def rounds():
+        try:
+            for _ in range(2):
+                reports.append(voter.announce_round())
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=rounds) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(reports) == 12
+    assert all(ok for report in reports for sends in report.values() for _, ok in sends)
+    clock.advance(voter.config.announce_period)
+    replicas.announced.clear()
+    report = voter.announce_round()
+    assert len(report) == 5 and all(len(sends) == 8 for sends in report.values())
+    assert replicas.announced == []
+
+
+def test_a_replica_that_evicted_the_vote_holds_it_again_after_the_next_full_announce(monkeypatch):
+    """Store flushing (ROADMAP item 6): the skipped replica lacks the vote
+    until the full announce, so for up to REANNOUNCE_SECONDS + announce_period."""
+    world, voter, key, replicas = voting_world()
+    start = world.time
+    voter.announce_round()
+    flushed = replicas[0].node.store
+    monkeypatch.setattr(store, "MAX_KEYS", 1)
+    flushed.record(b"\x0f" * 20, Polarity.POSITIVE, b"\x0b\x00\x00\x02", world.time)
+    assert key not in flushed
+    held_from, period = None, voter.config.announce_period
+    while held_from is None and world.time - start < REANNOUNCE_SECONDS + period:
+        world.time += period
+        [report] = voter.announce_round().values()
+        assert all(ok for _, ok in report)  # the flushed replica counts as holding it
+        if key in flushed:
+            held_from = world.time - start
+    assert held_from is not None
+    assert REANNOUNCE_SECONDS <= held_from <= REANNOUNCE_SECONDS + period

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import FakeClock, make_test_node
-from dhtvote import krpc
+from dhtvote import krpc, node
 from dhtvote.node import NodeConfig
 from dhtvote.sim import (
     MALICE_STRATEGIES,
@@ -228,14 +228,26 @@ def test_report_matches_parent_digest():
             malicious_fraction=0.1, **SMALL,
         )
     )
-    assert report.total_datagrams == 8552
-    assert report.total_bytes == 1289538
+    assert report.total_datagrams == 6307
+    assert report.total_bytes == 1115278
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "89dc81785a3eee10ec082d0f4b27d644ef6baa3158219d2741bfbdad2d6ee704"
+        "1634d0ba3fcc0d76cafa28f8d2b48506bf0d8b48215266e2c79c1ec3f657a03f"
     )
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
         "3d9411df2568fd266e0757a3ad6586dc7d389368e230bed3b788bdde908423c3"
     )
+
+
+def test_no_vote_leaves_a_window_between_full_announces(monkeypatch):
+    """Over more than a store window, skipping the replicas that hold a vote
+    reads every estimate as announcing to all of them each round does."""
+    config = ScenarioConfig(seed=5, duration_hours=30, **SMALL)
+    shortcut = run_scenario(config)
+    monkeypatch.setattr(node, "REANNOUNCE_SECONDS", 0)  # every round a full announce
+    full = run_scenario(config)
+    assert shortcut.to_csv() == full.to_csv()
+    assert shortcut.availability == full.availability == 1.0
+    assert shortcut.datagrams["announce_vote:query"] < full.datagrams["announce_vote:query"] / 2
 
 
 def test_different_seed_changes_traffic():

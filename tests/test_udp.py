@@ -290,11 +290,13 @@ def test_round_announces_a_vote_that_dhtvote_vote_cast(tmp_path, capsys):
     assert deliveries(report) == FAKE_PEERS
 
 
-def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time():
+def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time(sent_requests):
     """ROADMAP item 2's gate: 8 real nodes, 20 votes, about 100 pings/s.
 
     No retries, so a reply that the receive thread drops fails the round.
     The timeout is long, so a reply that a busy host merely delays does not.
+    Each round announces 20 votes cast just before it, so that no replica
+    holds them yet and every round sends all 160 announce_vote.
     """
     servers = []
     client = None
@@ -309,13 +311,18 @@ def test_round_under_inbound_pings_takes_at_most_twice_the_quiet_time():
             server.node.bootstrap()
         client = UdpNodeRunner(client_config([servers[0].local_address], timeout=1.0))
         client.start()
-        for i in range(20):
-            client.cast_vote(bytes([i + 1]) * 20, Polarity.POSITIVE)
+        fresh = (sha1(i.to_bytes(2, "big")).digest() for i in range(20 * 18))
 
         def delivered_round() -> float:
+            client.node.local_votes.clear()  # the round announces only the 20 cast now
+            for _ in range(20):
+                client.cast_vote(next(fresh), Polarity.POSITIVE)
+            sent_before = len(sent_requests)
             report, seconds = timed_round(client)
             assert sorted(map(len, report.values())) == [8] * 20
             assert deliveries(report) == 20 * 8
+            sent = [kind for kind, _ in sent_requests[sent_before:]]
+            assert sent.count("announce_vote") == 20 * 8
             return seconds
 
         def ping():
