@@ -14,7 +14,8 @@ never anything claimed in the message; the get_votes/announce_vote token
 handshake exists to stop spoofed sources. The token rides on the get_votes
 replies of the announce's own lookup, so an announce costs one lookup plus
 one announce_vote per replica that may lack the vote (Kademlia's republish
-shortcut, see announce_round).
+shortcut, see announce_round). The announce record of a vote, keyed by the
+vote key, also seeds every lookup of that key with last round's replicas.
 """
 
 from __future__ import annotations
@@ -248,8 +249,9 @@ class VoteNode:
         self.tokens = TokenIssuer(clock, rand_bytes)
         self.journal = Journal(config.state_dir) if config.state_dir else None
         self.local_votes: dict[bytes, LocalVote] = {}
-        # info-hash -> (time of the vote's last full announce, the compact
-        # contacts of the replicas that acknowledged it since)
+        # vote key -> (time of the vote's last full announce, the compact
+        # contacts of the replicas that acknowledged it since); it also seeds
+        # every lookup of that key
         self._announced: dict[bytes, tuple[float, bytes]] = {}
         self._tids: dict[bytes, Query] = {}  # tid -> the query send_query is sending with it
         self._silent: dict[bytes, float] = {}  # id -> when a query to it last failed
@@ -407,12 +409,17 @@ class VoteNode:
     ) -> list[tuple[Contact, Response]]:
         """The k closest responders to target, each with its reply.
 
+        The seeds are the routing table's k closest, then the replicas in our
+        vote's announce record for target that the table did not return.
         Each contact gets a query of method with args and the target; replies
         of contacts outside the k closest are discarded. Once the
         lookup has sent its budget of queries, it sends no more and ends on
         the responders it has.
         """
         seeds = self.routing.closest(target)
+        record = self._announced.get(target)
+        if record is not None:  # for an id in both, the table's newer address wins
+            seeds += krpc.unpack_contacts(record[1], {contact.id for contact in seeds})
         if not seeds:
             for address in self.config.bootstrap:
                 probe = self._ping_address(address)
@@ -515,15 +522,17 @@ class VoteNode:
         the replicas found and whether each holds the vote: True if it
         acknowledged this round's announce, or was sent none because its id
         and address acknowledged one since the vote's last full announce,
-        under REANNOUNCE_SECONDS ago. A lookup that no contact answers
-        leaves an empty list and the vote is simply retried next round.
+        under REANNOUNCE_SECONDS ago. Those replicas are the vote's announce
+        record, kept by vote key, and they seed that key's next lookups. A
+        lookup that no contact answers leaves an empty list and the vote is
+        simply retried next round.
         """
 
         def announce(vote: LocalVote) -> tuple[bytes, list[tuple[Contact, bool]]]:
             key = vote_key(vote.info_hash)
             replicas = self.get_votes_lookup(key, no_votes=True)
             now = self.clock()
-            since, held = self._announced.get(vote.info_hash, (now, b""))
+            since, held = self._announced.get(key, (now, b""))
             if now - since >= REANNOUNCE_SECONDS:
                 since, held = now, b""  # a full announce: every replica gets the vote
             report, acked = [], []
@@ -536,7 +545,7 @@ class VoteNode:
                 if ok:
                     acked.append(entry)
                 report.append((replica[0], ok))
-            self._announced[vote.info_hash] = (since, b"".join(acked))
+            self._announced[key] = (since, b"".join(acked))
             return vote.info_hash, report
 
         if votes is None:

@@ -141,11 +141,14 @@ def iterative_lookup(
     Keeps querying the closest unqueried candidates until every candidate
     at least as close as the current k-th closest responder has been
     tried, which makes the result exact over the responsive population.
-    Each wave queries the alpha nearest unqueried candidates closer than
-    the k-th responder, both taken at the wave's start. A candidate's
-    distance is computed once, when it first appears: unqueried ones wait
-    in a heap, responders are kept sorted. With no seed, or no seed that
-    answers, the result is ``[]``.
+    Each wave takes the nearest unqueried candidates, up to alpha, while
+    the responders nearer than a candidate plus the wave's members so far
+    number fewer than k: it asks only contacts among the k nearest heard of
+    (Kademlia, §2.3), so seeds that are the k nearest get k queries in all.
+    Responders are those at the wave's start. A candidate's distance is
+    computed once, when it first appears: unqueried ones wait in a heap,
+    responders are kept sorted. With no seed, or no seed that answers, the
+    result is ``[]``.
     """
     target_int = int.from_bytes(target, "big")
     seen: set[bytes] = set()
@@ -165,7 +168,7 @@ def iterative_lookup(
         while (
             unqueried
             and len(wave) < alpha
-            and (len(responders) < k or unqueried[0][0] < responders[k - 1][0])
+            and bisect.bisect(responders, unqueried[0]) + len(wave) < k
         ):
             wave.append(heapq.heappop(unqueried))
         if not wave:

@@ -241,7 +241,7 @@ def test_fetch_skips_a_replica_with_a_malformed_sketch(small_world, monkeypatch)
 
 
 def test_fetch_ignores_sketches_outside_the_replica_set(small_world, monkeypatch):
-    """The lookup passes nodes beyond the k nearest; their sketches must not
+    """The lookup asks nodes beyond the k nearest; their sketches must not
     reach the combiner, even the plain-union one."""
     from dhtvote.node import vote_key
     from dhtvote.routing import distance
@@ -251,8 +251,9 @@ def test_fetch_ignores_sketches_outside_the_replica_set(small_world, monkeypatch
     ranked = sorted(
         small_world.peers, key=lambda p: (distance(p.node.node_id, key), p.node.node_id)
     )
-    outside = ranked[8]  # just outside the 8 replicas
-    small_world.set_malicious(outside, "inflate-registers")
+    outside = ranked[8:]  # every node but the 8 replicas
+    for peer in outside:
+        small_world.set_malicious(peer, "inflate-registers")
     try:
         observer = small_world.make_observer()
         inner = observer.transport
@@ -267,9 +268,10 @@ def test_fetch_ignores_sketches_outside_the_replica_set(small_world, monkeypatch
         observer.transport = Recorder()
         monkeypatch.setattr(client, "robust_combine", HllSketch.union)
         result = fetch_votes(observer, info_hash)
-        assert outside.address in get_votes_to  # the lookup did ask it
+        assert {peer.address for peer in outside} & set(get_votes_to)  # the lookup did ask one
         assert result.responders == 8
         assert abs(result.positive_count - 12) / 12 <= 0.2
         assert abs(result.negative_count - 4) / 4 <= 0.25
     finally:
-        small_world.network.peers[outside.address] = outside.node
+        for peer in outside:
+            small_world.network.peers[peer.address] = peer.node

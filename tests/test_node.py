@@ -1015,6 +1015,31 @@ def test_a_second_round_sends_replicas_that_hold_the_vote_nothing(clock):
     assert announced_round(voter, replicas) == (dict.fromkeys(everyone, True), set())
 
 
+@pytest.mark.parametrize("table_forgot_them", [False, True])
+def test_a_second_round_with_the_same_replicas_sends_k_get_votes_and_nothing_else(
+    clock, table_forgot_them
+):
+    """The vote's announce record seeds its key's lookup, so the lookup reaches
+    the replicas even once the routing table has dropped them."""
+    voter, replicas = shortcut_voter(clock)
+    everyone = {contact.address for contact in replicas.contacts}
+    announced_round(voter, replicas)
+    if table_forgot_them:
+        for contact in replicas.contacts:
+            voter.routing.remove(contact.id)
+    kinds = []
+    request = replicas.request
+
+    def counted(address, data, kind):
+        kinds.append(kind)
+        return request(address, data, kind)
+
+    replicas.request = counted
+    clock.advance(voter.config.announce_period)
+    assert announced_round(voter, replicas) == (dict.fromkeys(everyone, True), set())
+    assert kinds == ["get_votes"] * voter.config.k
+
+
 def test_a_replica_at_a_new_id_or_address_gets_the_vote(clock):
     voter, replicas = shortcut_voter(clock)
     announced_round(voter, replicas)
@@ -1067,7 +1092,7 @@ def test_the_announce_record_holds_only_the_current_replicas(clock):
     clock.advance(voter.config.announce_period)
     report, announced = announced_round(voter, replicas)
     assert announced == set(report) == {contact.address for contact in near}
-    since, held = voter._announced[INFO_HASH]
+    since, held = voter._announced[KEY]
     assert sorted(held[i:i + 26] for i in range(0, len(held), 26)) == sorted(
         krpc.pack_contacts([contact]) for contact in near
     )

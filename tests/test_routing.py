@@ -283,7 +283,9 @@ def test_lookup_skips_unresponsive_nodes():
 
 
 def reference_lookup(target, seeds, query, k, alpha):
-    """Reference lookup that re-ranks every candidate in every wave."""
+    """Reference lookup after Kademlia's rule (IPTPS 2002, section 2.3),
+    re-ranking every candidate in every wave: of the k nearest contacts heard
+    of that have not failed to answer, a wave asks the alpha nearest not yet asked."""
     candidates = {}
     for seed in seeds:
         candidates.setdefault(seed.id, seed)
@@ -293,16 +295,14 @@ def reference_lookup(target, seeds, query, k, alpha):
         return (distance(c.id, target), c.id)
 
     while True:
-        responsive = sorted((candidates[i] for i in responded), key=dist)[:k]
-        threshold = dist(responsive[-1]) if len(responsive) >= k else None
-        frontier = sorted(
-            (c for c in candidates.values()
-             if c.id not in queried and (threshold is None or dist(c) < threshold)),
+        alive = sorted(
+            (c for c in candidates.values() if c.id in responded or c.id not in queried),
             key=dist,
-        )
-        if not frontier:
+        )[:k]
+        wave = [c for c in alive if c.id not in queried][:alpha]
+        if not wave:
             break
-        for c in frontier[:alpha]:
+        for c in wave:
             queried.add(c.id)
             found = query(c, target)
             if found is not None:
@@ -338,6 +338,28 @@ def test_lookup_queries_match_reference():
             logs.append(log)
         assert logs[0] == logs[1]
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("k, alpha", [(8, 3), (5, 2), (7, 4)])
+def test_lookup_seeded_with_the_k_nearest_sends_k_queries(k, alpha):
+    """Seeds that are the true k nearest, nothing down: the lookup asks each
+    of them once and no one else, though each reply names the (k+1)-th."""
+    rng = random.Random(8)
+    net = StaticNetwork(rng, 100, k=k)
+    for _ in range(10):
+        target = make_id(rng)
+        nearest = net.true_closest(target)
+        asked = []
+
+        def query(contact, t):
+            # like a node's own table, a reply names the k nearest but the responder
+            asked.append(contact.id)
+            ranked = sorted(net.ids, key=lambda i: (distance(i, t), i))[: k + 1]
+            return [net.contacts[i] for i in ranked if i != contact.id][:k]
+
+        found = iterative_lookup(target, [net.contacts[i] for i in nearest], query, k=k, alpha=alpha)
+        assert sorted(asked) == sorted(nearest)
+        assert [c.id for c in found] == nearest
 
 
 def test_lookup_fails_without_responders():

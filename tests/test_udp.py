@@ -150,22 +150,30 @@ def timed_round(client: UdpNodeRunner):
     return report, time.perf_counter() - started
 
 
-def test_round_waits_on_its_votes_concurrently():
-    """Each vote's lookup waits on the silent contact; two votes' waits overlap."""
+def fresh_round(votes: int):
+    """A round of ``votes`` fresh votes on a fresh client with fresh silent
+    peers, so each vote's lookup meets a silent contact it never met:
+    (the deliveries, the round's seconds)."""
     peers = FakePeers(silent=True)
     client = UdpNodeRunner(client_config([peers.contacts[0].address]))
     try:
         client.start()
-        client.cast_vote(b"\x07" * 20, Polarity.POSITIVE)
-        one, one_seconds = timed_round(client)
-        client.cast_vote(b"\x08" * 20, Polarity.NEGATIVE)
-        two, two_seconds = timed_round(client)
+        for i in range(votes):
+            client.cast_vote(bytes([7 + i]) * 20, Polarity.POSITIVE)
+        report, seconds = timed_round(client)
     finally:
         client.stop()
         peers.close()
-    assert deliveries(one) == FAKE_PEERS
-    assert deliveries(two) == 2 * FAKE_PEERS
-    assert one_seconds >= client.config.query_timeout
+    return deliveries(report), seconds
+
+
+def test_round_waits_on_its_votes_concurrently():
+    """Each vote's lookup waits on its own silent contact; two votes' waits overlap."""
+    one, one_seconds = fresh_round(1)
+    two, two_seconds = fresh_round(2)
+    assert one == FAKE_PEERS
+    assert two == 2 * FAKE_PEERS
+    assert one_seconds >= client_config([]).query_timeout
     assert two_seconds < 1.5 * one_seconds
 
 
