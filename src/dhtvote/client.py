@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from . import krpc
 from .node import VoteNode, vote_key
-from .sketch import REGISTER_COUNT, HllSketch, checked_registers, nonzero_indices
+from .sketch import REGISTER_COUNT, HllSketch, nonzero_indices
 
 _ONE = b"\0" + b"\x01" * 255  # translate table: any nonzero register -> 1
 
@@ -50,7 +50,7 @@ def robust_combine(sketches: list[HllSketch]) -> HllSketch:
         raise ValueError("can combine at most 255 sketches")
     if len(sketches) < 3:
         return HllSketch.union(sketches)
-    registers = checked_registers(sketches)
+    registers = [s.registers for s in sketches]
     n = len(registers)
     mid = (n - 1) // 2
     # A lower median is nonzero only where at least n - mid sketches are.

@@ -53,14 +53,6 @@ def nonzero_indices(registers: bytes | bytearray) -> bytes:
     return b"\0" + indices if registers[0] else indices
 
 
-def checked_registers(sketches: Iterable["HllSketch"]) -> list[bytearray]:
-    """The sketches' register arrays; ValueError unless each has 256."""
-    registers = [s.registers for s in sketches]
-    if any(len(r) != REGISTER_COUNT for r in registers):
-        raise ValueError("precision mismatch")
-    return registers
-
-
 class HllSketch:
     """Mergeable distinct-count sketch over byte-string items.
 
@@ -68,31 +60,36 @@ class HllSketch:
     mutates in place and only ever grows registers.
     """
 
-    __slots__ = ("registers",)
+    __slots__ = ("_registers",)
 
     def __init__(self, registers: bytearray | bytes | None = None):
         if registers is None:
-            self.registers = bytearray(REGISTER_COUNT)
+            self._registers = bytearray(REGISTER_COUNT)
         else:
             if len(registers) != REGISTER_COUNT:
                 raise ValueError(f"expected {REGISTER_COUNT} registers, got {len(registers)}")
-            self.registers = bytearray(registers)
+            self._registers = bytearray(registers)
+
+    @property
+    def registers(self) -> bytearray:
+        """The 256 registers in index order; read-only, so only __init__ checks the length."""
+        return self._registers
 
     def add(self, item: bytes) -> None:
         """Record one item (a voter's 4-byte IPv4 address, in this protocol)."""
         index, rank = register_of(item)
-        if rank > self.registers[index]:
-            self.registers[index] = rank
+        if rank > self._registers[index]:
+            self._registers[index] = rank
 
     def estimate(self) -> float:
         """Cardinality estimate with small- and large-range corrections."""
         m = REGISTER_COUNT
         inv = _INV_POW2
         harmonic = 0.0
-        for r in self.registers:
+        for r in self._registers:
             harmonic += inv[r]
         raw = _ALPHA * m * m / harmonic
-        zeros = self.registers.count(0)
+        zeros = self._registers.count(0)
         if raw <= 2.5 * m and zeros > 0:
             return m * math.log(m / zeros)
         if raw > _TWO_POW_32 / 30:
@@ -109,7 +106,7 @@ class HllSketch:
 
         No sketches give the empty sketch, one gives a copy of it.
         """
-        registers = checked_registers(sketches)
+        registers = [s._registers for s in sketches]
         if len(registers) < 2:
             return cls(registers[0] if registers else None)
         return cls(bytes(map(max, *registers)))
@@ -119,12 +116,12 @@ class HllSketch:
         return HllSketch.union((self, other))
 
     def is_empty(self) -> bool:
-        return self.registers.count(0) == REGISTER_COUNT
+        return self._registers.count(0) == REGISTER_COUNT
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HllSketch):
             return NotImplemented
-        return self.registers == other.registers
+        return self._registers == other._registers
 
     def __repr__(self) -> str:
         return f"HllSketch(estimate~{self.estimate():.1f})"

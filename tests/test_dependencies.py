@@ -1,8 +1,10 @@
 """The package runs on the standard library alone: ``dependencies = []``,
-and each of its modules, and each test module, uses every name it imports."""
+and each of its modules, and each test module, uses every name it imports.
+Every class and function that the package defines is named somewhere else."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +66,42 @@ def test_every_module_uses_what_it_imports():
     paths += tests
     assert ({str(path.relative_to(ROOT)): unused_imports(path) for path in paths}
             == {str(path.relative_to(ROOT)): [] for path in paths})
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is read in tree: as a ``Name``, as an ``Attribute``
+    or as a string that is an identifier (``getattr`` and patching by name)."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names[node.value] += 1
+    return names
+
+
+def test_every_definition_is_referenced():
+    """Each class and function in the package is named in src/, tests/ or
+    perfbench/ outside its own definition, so a helper left behind when its
+    callers go fails here. Dunder methods are exempt: Python calls them."""
+    package = ROOT / "src" / "dhtvote"
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert package / "sketch.py" in trees and ROOT / "perfbench" / "layers.py" in trees
+    used = sum(map(references, trees.values()), Counter())
+    definitions = [
+        (path, node)
+        for path, tree in trees.items() if path.parent == package
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert len(definitions) > 100
+    unused = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+              for path, node in definitions
+              if used[node.name] == references(node)[node.name]]
+    assert unused == []
