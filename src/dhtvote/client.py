@@ -6,11 +6,11 @@ lookup passed on the way are ignored.
 
 A single replica returning an inflated sketch would dominate a plain
 union (``HllSketch.union``, the per-register max), so with three or more
-replicas the combiner takes the per-register lower median instead. Up to
-floor((n-1)/2) corrupt replicas then cannot move the result away from the
-honest value when the honest replicas agree. The trade-off: a replica
-that is legitimately ahead of its peers gets partially discounted until
-re-announces converge them again.
+replicas the combiner takes the per-register lower median instead. When the
+honest replicas agree, up to floor(n/2) inflating and floor((n-1)/2) deflating
+replicas cannot move the result, and one more of either kind does (at k = 8,
+4 and 3). The trade-off: a replica that is legitimately ahead of its peers
+gets partially discounted until re-announces converge them again.
 
 Replica sketches are parsed leniently: ``krpc.response_sketches`` rejects a
 malformed wire form (a wrong length, or a sparse form that repeats an index

@@ -428,10 +428,9 @@ class VoteNode:
         args = {**args, b"target": target}
         replies: dict[bytes, Response] = {}
         budget = LOOKUP_QUERIES_PER_K * self.config.k
-        # Ids whose reply entries get no Contact: ours, the seeds and each reply's
-        # contacts. iterative_lookup keeps its own seen set all the same: the
-        # routing tests call it standalone, and the query(contact, target)
-        # signature that perfbench's wrapper pins has no room to pass this one.
+        # Ids whose reply entries get no Contact: ours, the seeds and earlier
+        # replies' contacts. iterative_lookup's own seen set still drops an id
+        # that two seeds, or one reply, name twice.
         seen = {self.node_id, *(contact.id for contact in seeds)}
 
         def query(contact: Contact, target: bytes) -> list[Contact] | None:

@@ -5,6 +5,8 @@ network-wide: 256 one-byte registers (precision 8), items hashed with SHA1.
 Index = first digest byte; rank = leading zeros of the next 32 bits, plus one.
 Every node must produce identical registers for identical voter sets or
 replica sketches would not union correctly, so none of this is configurable.
+Estimates are linear counting below 640, else raw: the hash has 40 bits and there
+are at most 2^32 IPv4 voters, so there is no large-range correction.
 
 A sketch's 256 registers, in index order, are its dense wire form; on the
 get_votes wire a sketch with fewer than 128 nonzero registers goes sparse
@@ -25,7 +27,6 @@ REGISTER_COUNT = 1 << PRECISION_BITS  # 256
 MAX_RANK = 33  # 32 hashed bits, all zero -> rank 33
 
 _ALPHA = 0.7213 / (1 + 1.079 / REGISTER_COUNT)
-_TWO_POW_32 = 1 << 32
 # 2^-r for any byte value; wire-lenient sketches may carry registers above 33.
 _INV_POW2 = tuple(2.0 ** -r for r in range(256))
 _INDEX_AND_BITS = struct.Struct(">BI").unpack_from  # digest byte 0, then bytes 1-4
@@ -82,7 +83,7 @@ class HllSketch:
             self._registers[index] = rank
 
     def estimate(self) -> float:
-        """Cardinality estimate with small- and large-range corrections."""
+        """Linear counting below 640, else raw; 40 hashed bits need no large-range correction."""
         m = REGISTER_COUNT
         inv = _INV_POW2
         harmonic = 0.0
@@ -92,12 +93,6 @@ class HllSketch:
         zeros = self._registers.count(0)
         if raw <= 2.5 * m and zeros > 0:
             return m * math.log(m / zeros)
-        if raw > _TWO_POW_32 / 30:
-            if raw >= _TWO_POW_32:
-                # Correction formula is undefined here; only reachable with
-                # wire-lenient (adversarial) registers. Report the raw value.
-                return raw
-            return -_TWO_POW_32 * math.log(1.0 - raw / _TWO_POW_32)
         return raw
 
     @classmethod

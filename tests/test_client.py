@@ -70,20 +70,20 @@ def test_combine_permutation_invariant():
 
 
 def test_breakdown_bound_exact_when_honest_agree():
-    """With <= floor((n-1)/2) corrupt replicas and agreeing honest ones,
-    the lower median lands inside the honest run regardless of whether the
-    corruption pushes registers up or down."""
+    """With agreeing honest replicas, the lower median lands inside the honest
+    run against up to floor(n/2) inflated replicas (every register 255) and up
+    to floor((n-1)/2) all-zero ones, and one more of either kind moves it: at
+    k = 8, four inflating replicas but only three deflating ones."""
     rng = random.Random(4)
-    honest = random_sketch(rng)
-    for n, bad in ((3, 1), (5, 2), (7, 3), (8, 3)):
-        for corrupt_value in (b"\xff", b"\x00"):
-            replicas = [HllSketch(honest.registers) for _ in range(n - bad)]
-            replicas += [
-                HllSketch(corrupt_value * 256)
-                for _ in range(bad)
-            ]
-            rng.shuffle(replicas)
-            assert robust_combine(replicas) == honest
+    for voters in (50, 40, 300):
+        honest = random_sketch(rng, items=voters)
+        for n in range(3, 11):
+            for corrupt_value, bound in ((b"\xff", n // 2), (b"\x00", (n - 1) // 2)):
+                for bad in (bound, bound + 1):
+                    replicas = [HllSketch(honest.registers) for _ in range(n - bad)]
+                    replicas += [HllSketch(corrupt_value * 256) for _ in range(bad)]
+                    rng.shuffle(replicas)
+                    assert (robust_combine(replicas) == honest) == (bad == bound), (voters, n, bad)
 
 
 def reference_combine(sketches):

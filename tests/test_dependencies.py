@@ -1,6 +1,7 @@
 """The package runs on the standard library alone: ``dependencies = []``,
 and each of its modules, and each test module, uses every name it imports.
-Every class and function that the package defines is named somewhere else."""
+Every class, function and module-level name that the package defines is
+named somewhere else."""
 
 import ast
 import sys
@@ -8,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dhtvote"
 
 
 def absolute_imports(path: Path) -> set[str]:
@@ -83,25 +85,54 @@ def references(tree: ast.AST) -> Counter:
     return names
 
 
+def source_trees() -> dict[Path, ast.AST]:
+    """Every module in src/, tests/ and perfbench/, parsed."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert PACKAGE / "sketch.py" in trees and ROOT / "perfbench" / "layers.py" in trees
+    return trees
+
+
+def unreferenced(trees: dict[Path, ast.AST], bindings: list[tuple[Path, ast.AST, str]]) -> list[str]:
+    """Each (path, node, name) whose name is read nowhere outside node."""
+    used = sum(map(references, trees.values()), Counter())
+    return [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+            for path, node, name in bindings if used[name] == references(node)[name]]
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_is_referenced():
     """Each class and function in the package is named in src/, tests/ or
     perfbench/ outside its own definition, so a helper left behind when its
     callers go fails here. Dunder methods are exempt: Python calls them."""
-    package = ROOT / "src" / "dhtvote"
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for folder in ("src", "tests", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))}
-    assert package / "sketch.py" in trees and ROOT / "perfbench" / "layers.py" in trees
-    used = sum(map(references, trees.values()), Counter())
+    trees = source_trees()
     definitions = [
-        (path, node)
-        for path, tree in trees.items() if path.parent == package
+        (path, node, node.name)
+        for path, tree in trees.items() if path.parent == PACKAGE
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not is_dunder(node.name)
     ]
     assert len(definitions) > 100
-    unused = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
-              for path, node in definitions
-              if used[node.name] == references(node)[node.name]]
-    assert unused == []
+    assert unreferenced(trees, definitions) == []
+
+
+def test_every_module_level_name_is_referenced():
+    """Each name that a top-level assignment in the package binds is named
+    outside that assignment, so a constant left behind when its readers go
+    fails here. Dunders such as ``__all__`` are exempt."""
+    trees = source_trees()
+    bindings = [
+        (path, node, name.id)
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and not is_dunder(name.id)
+    ]
+    assert len(bindings) > 30
+    assert unreferenced(trees, bindings) == []

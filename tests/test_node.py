@@ -692,6 +692,38 @@ class OnePeer:
         ))
 
 
+class Directory:
+    """Answers at each listed address as the id listed there, naming its nodes."""
+
+    def __init__(self, peers):
+        self.peers = peers  # address -> (id, compact nodes)
+
+    def request(self, address, data, kind):
+        if address not in self.peers:
+            return None
+        node_id, nodes = self.peers[address]
+        return krpc.encode_message(krpc.Response(
+            krpc.decode_message(data).tid, {b"id": node_id, b"nodes": nodes}
+        ))
+
+
+def test_a_lookup_queries_an_id_named_twice_once(clock):
+    """Both bootstrap addresses answer as one id A, and A's reply names X at
+    two addresses: iterative_lookup's own seen set sends A one find_node,
+    asks X only at the address named first, and returns each id once."""
+    a_address, x_first, x_second = ("10.0.0.20", 6881), ("10.0.0.30", 6881), ("10.0.0.31", 6881)
+    a_id, x_id = b"a" * 20, b"x" * 20
+    x_twice = krpc.pack_contacts([Contact(x_id, *x_first), Contact(x_id, *x_second)])
+    node = make_test_node(clock, bootstrap=[a_address, a_address])
+    recorder = node.transport = Recorder(Directory(
+        {a_address: (a_id, x_twice), x_first: (x_id, b""), x_second: (x_id, b"")}
+    ))
+    assert [contact.id for contact in node.lookup(TARGET)] == [x_id, a_id]  # x is nearer
+    assert [(address, query.method) for address, query, _ in recorder.sent] == [
+        (a_address, "ping"), (a_address, "ping"), (a_address, "find_node"), (x_first, "find_node"),
+    ]
+
+
 class Server:
     """Delivers every query to one node's handle_datagram, from SOURCE."""
 

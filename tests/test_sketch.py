@@ -70,12 +70,19 @@ def test_alpha_constant_value():
     estimate = HllSketch(registers).estimate()
     alpha = estimate / (256 * 256 / (256 * 2.0**-15))
     assert alpha == pytest.approx(0.71827, abs=1e-4)
-    # a raw estimate above 2^32 / 30 takes the large-range correction
+    # above the linear-counting range the raw estimate is the answer
     raw = alpha * 256 * 2.0**20
-    assert 2**32 / 30 < raw < 2**32
     estimate = HllSketch(bytes([20] * REGISTER_COUNT)).estimate()
-    assert estimate == pytest.approx(-(2**32) * math.log(1 - raw / 2**32))
-    assert estimate == pytest.approx(197_271_690.66, abs=0.01)
+    assert estimate == pytest.approx(raw)
+    assert estimate == pytest.approx(192_809_831.10, abs=0.01)
+
+
+def test_estimate_never_falls_as_registers_grow():
+    """x registers at 25 and the rest at 24, for x = 0 ... 256: raw estimates
+    from 3.1e9 to 6.2e9, around 2^32, and the estimate only rises with x."""
+    estimates = [HllSketch(bytes([25] * x + [24] * (REGISTER_COUNT - x))).estimate()
+                 for x in range(REGISTER_COUNT + 1)]
+    assert estimates == sorted(estimates)
 
 
 def test_estimate_within_20pct_of_10k():
