@@ -42,6 +42,7 @@ from .store import WINDOW_HOURS, Polarity, VoteStore
 log = logging.getLogger(__name__)
 
 TOKEN_ROTATION_SECONDS = 300  # previous secret stays valid one extra rotation
+TOKEN_CATCH_UP_SECONDS = 7 * 24 * 3600  # a clock that jumps ahead draws a week of secrets at most
 SILENT_SECONDS = 900  # BEP 5's 15 minutes: an id whose query failed is skipped this long
 LOOKUP_QUERIES_PER_K = 8  # a lookup sends at most this many times k queries
 # A get_votes reply of k contacts, two dense sketches, an 8-byte token and a
@@ -53,7 +54,6 @@ MAX_K = 55
 REANNOUNCE_SECONDS = WINDOW_HOURS * 3600 // 2
 JOURNAL_FILENAME = "votes.log"
 _JOURNAL_LINE = re.compile(r"([0-9a-fA-F]{40}),([+-]1),([0-9]+)")  # hash, sign, unix seconds
-_POLARITY = {polarity.value: polarity for polarity in Polarity}  # faster than Polarity(v)
 
 Address = tuple[str, int]
 Clock = Callable[[], float]
@@ -115,6 +115,7 @@ class TokenIssuer:
 
     def _rotate_if_due(self) -> None:
         now = self._clock()
+        self._rotated_at = max(self._rotated_at, now - TOKEN_CATCH_UP_SECONDS)
         while now - self._rotated_at >= TOKEN_ROTATION_SECONDS:
             self._previous = self._current
             self._current = self._rand(16)
@@ -204,7 +205,7 @@ class Journal:
         if match is None:
             return None
         hex_hash, sign, stamp = match.groups()
-        return LocalVote(bytes.fromhex(hex_hash), _POLARITY[int(sign)], int(stamp))
+        return LocalVote(bytes.fromhex(hex_hash), Polarity(int(sign)), int(stamp))
 
 
 def vote_key(info_hash: bytes) -> bytes:
@@ -314,7 +315,7 @@ class VoteNode:
             self.routing.insert(sender)
             if not self.tokens.valid(token, source):
                 raise ProtocolError("invalid or expired token")
-            self.store.record(target, _POLARITY[vote], socket.inet_aton(source[0]), self.clock())
+            self.store.record(target, Polarity(vote), socket.inet_aton(source[0]), self.clock())
             return Response(tid, {b"id": self.node_id})
         raise ProtocolError(f"unknown method {method!r}", krpc.METHOD_UNKNOWN)
 

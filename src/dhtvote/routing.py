@@ -33,7 +33,10 @@ class Contact:
 
 
 class RoutingTable:
-    """160 k-buckets, each a dict from id to contact, least recently seen first.
+    """160 k-buckets, each a dict from id to contact in join order.
+
+    A newer contact for a known id takes the old one's place; no contact is
+    ever edited. A full bucket drops the newcomer.
 
     Safe to share between threads: every method takes the table's lock and
     does no I/O while it holds it.
@@ -57,12 +60,13 @@ class RoutingTable:
             return sum(map(len, self.buckets))
 
     def insert(self, contact: Contact) -> None:
-        """Add contact, or refresh it in place and move it to its bucket's tail.
+        """Add contact, or put it in the place of the contact with its id.
 
-        A full bucket drops the newcomer, and the table never holds its own
-        id: a contact carrying it is ignored. A contact leaves the table
-        only by remove(), which the node calls when a query to it gets no
-        usable reply or another id answers at its address.
+        No contact is edited, so one handed out keeps its address. A full
+        bucket drops the newcomer, and the table never holds its own id: a
+        contact carrying it is ignored. A contact leaves the table only by
+        remove(), which the node calls when a query to it gets no usable
+        reply or another id answers at its address.
         """
         if contact.id == self.own_id:
             return
@@ -72,12 +76,7 @@ class RoutingTable:
         self._lock.acquire()
         try:
             bucket = self.buckets[index]
-            existing = bucket.pop(contact.id, None)
-            if existing is not None:
-                existing.ip = contact.ip
-                existing.port = contact.port
-                bucket[contact.id] = existing
-            elif len(bucket) < self.k:
+            if contact.id in bucket or len(bucket) < self.k:
                 bucket[contact.id] = contact
                 self._occupied |= 1 << index
         finally:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from dhtvote import krpc, store
 from dhtvote.client import fetch_votes
 from dhtvote.node import (
-    LOOKUP_QUERIES_PER_K, MAX_K, REANNOUNCE_SECONDS, SILENT_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
+    LOOKUP_QUERIES_PER_K, MAX_K, REANNOUNCE_SECONDS, SILENT_SECONDS, TOKEN_CATCH_UP_SECONDS,
+    TOKEN_ROTATION_SECONDS, Journal, LocalVote, NodeConfig, TokenIssuer, VoteNode, compact_address,
     vote_key,
 )
 from dhtvote.routing import Contact, distance
@@ -74,6 +75,29 @@ def test_token_expires_after_two_rotations():
     assert issuer.valid(token, SOURCE)
     clock.advance(300)
     assert not issuer.valid(token, SOURCE)
+
+
+def test_token_catch_up_after_a_clock_jump_is_bounded():
+    """A clock that jumps 50 years ahead draws a week of secrets, not
+    5,256,000, and still retires the old token; a jump under a week draws
+    one secret per rotation, as before."""
+    clock = FakeClock()
+    drawn = []
+
+    def rand_bytes(n):
+        drawn.append(n)
+        return len(drawn).to_bytes(n, "big")
+
+    issuer = TokenIssuer(clock, rand_bytes)
+    clock.advance(3600)
+    issuer.issue(SOURCE)
+    assert len(drawn) == 1 + 12
+    token = issuer.issue(SOURCE)
+    clock.advance(50 * 365 * 24 * 3600)
+    fresh = issuer.issue(SOURCE)
+    assert len(drawn) - 13 <= 2 + TOKEN_CATCH_UP_SECONDS // TOKEN_ROTATION_SECONDS
+    assert not issuer.valid(token, SOURCE)
+    assert issuer.valid(fresh, SOURCE)
 
 
 def test_compact_address_layout():

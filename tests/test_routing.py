@@ -48,11 +48,28 @@ def test_insert_update_and_pending():
     first = contact(make_id(rng))
     table.insert(first)
     assert table_contact(table, first.id) is first
-    table.insert(contact(first.id))
-    assert table_contact(table, first.id) is first  # updated in place
-    assert len(table) == 1
+    newer = contact(first.id, port=6882)
+    table.insert(newer)
+    assert table_contact(table, first.id) is newer  # swapped in, not edited
+    assert first.port == 6881 and len(table) == 1
     table.insert(contact(own))  # the table never holds its own id
     assert len(table) == 1 and table_contact(table, own) is None
+
+
+def test_a_contact_handed_out_keeps_its_address():
+    """Re-inserting a known id at a new address swaps in the newer contact
+    at the old one's place in its bucket; the contact handed out before is
+    not edited."""
+    own = bytes(20)
+    table = RoutingTable(own, k=4)
+    a, b = (bytes([0x80]) + bytes(18) + bytes([n]) for n in (1, 2))  # one bucket
+    table.insert(Contact(a, "10.0.0.1", 1))
+    table.insert(contact(b))
+    handed_out = table.closest(a)[0]
+    table.insert(Contact(a, "10.0.0.2", 2))
+    assert handed_out.address == ("10.0.0.1", 1)
+    assert table.closest(a)[0].address == ("10.0.0.2", 2)
+    assert list(table.buckets[159]) == [a, b]
 
 
 def test_bucket_overflow_keeps_healthy_contacts():
@@ -107,7 +124,7 @@ def test_closest_matches_brute_force():
     for bits in range(1, ID_BITS + 1):
         for _ in range(3):
             near = contact((own_int ^ rng.getrandbits(bits)).to_bytes(ID_LENGTH, "big"))
-            if near.id != own:
+            if near.id != own and table_contact(table, near.id) is None:
                 table.insert(near)
                 if table_contact(table, near.id) is near:
                     everyone.append(near)
@@ -188,8 +205,8 @@ def test_table_stays_consistent_under_concurrent_use():
 def test_table_matches_a_list_model_of_k_buckets():
     """Inserts, refreshes at a new address and removes, against plain lists.
 
-    The model keeps each bucket as a list, least recently seen first: a
-    refresh moves its contact to the tail, and a full bucket drops the
+    The model keeps each bucket as a list in join order: a refresh puts the
+    newer contact in the old one's place, and a full bucket drops the
     newcomer.
     """
     for seed in range(20):
@@ -219,8 +236,8 @@ def test_table_matches_a_list_model_of_k_buckets():
                 new = (node_id, f"10.0.0.{rng.randrange(1, 255)}", rng.randrange(1, 65536))
                 table.insert(Contact(*new))
                 if old:
-                    bucket.remove(old[0])
-                if old or len(bucket) < k:
+                    bucket[bucket.index(old[0])] = new
+                elif len(bucket) < k:
                     bucket.append(new)
             else:
                 table.remove(node_id)
