@@ -5,29 +5,7 @@ Votes are announced into the DHT with two extra KRPC methods
 that slide over a 24-hour window, replicated to the k nodes nearest the
 hashed info-hash, and aggregated client-side with a per-register median
 that filters spam replicas.
+
+The modules are the API (``dhtvote.node``, ``dhtvote.udp``, ``dhtvote.sim``,
+...): ``import dhtvote`` binds no names, so a node never loads the simulator.
 """
-
-from .client import VoteResult, fetch_votes, robust_combine
-from .node import NodeConfig, VoteNode, vote_key
-from .routing import Contact, RoutingTable, distance
-from .sim import ScenarioConfig, ScenarioReport, run_scenario
-from .sketch import HllSketch
-from .store import Polarity, VoteStore
-
-__all__ = [
-    "Contact",
-    "HllSketch",
-    "NodeConfig",
-    "Polarity",
-    "RoutingTable",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "VoteNode",
-    "VoteResult",
-    "VoteStore",
-    "distance",
-    "fetch_votes",
-    "robust_combine",
-    "run_scenario",
-    "vote_key",
-]

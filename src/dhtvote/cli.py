@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .node import NodeConfig
 from .routing import ID_LENGTH
-from .sim import ScenarioConfig, run_scenario
 from .store import Polarity
 from .udp import UdpNodeRunner
 
@@ -180,6 +179,7 @@ def _cmd_get(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import ScenarioConfig, run_scenario  # here, so run, vote and get never load it
     if args.out and Path(args.out).suffix == ".csv":
         print("--out must not end in .csv: the CSV report goes there", file=sys.stderr)
         return USAGE_ERROR

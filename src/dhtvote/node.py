@@ -106,7 +106,7 @@ def compact_address(address: Address) -> bytes:
 class TokenIssuer:
     """Rotating-secret announce tokens bound to the requester's address."""
 
-    def __init__(self, clock: Clock, rand_bytes: Callable[[int], bytes] = secrets.token_bytes):
+    def __init__(self, clock: Clock, rand_bytes: Callable[[int], bytes]):
         self._clock = clock
         self._rand = rand_bytes
         self._current = rand_bytes(16)
@@ -252,7 +252,8 @@ class VoteNode:
         self.local_votes: dict[bytes, LocalVote] = {}
         # vote key -> (time of the vote's last full announce, the compact
         # contacts of the replicas that acknowledged it since); it also seeds
-        # every lookup of that key
+        # every lookup of that key. Packed bytes, not Contacts: those would pin
+        # contacts that the routing table has since swapped out (+4 % peak RSS)
         self._announced: dict[bytes, tuple[float, bytes]] = {}
         self._tids: dict[bytes, Query] = {}  # tid -> the query send_query is sending with it
         self._silent: dict[bytes, float] = {}  # id -> when a query to it last failed

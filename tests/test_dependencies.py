@@ -1,9 +1,12 @@
 """The package runs on the standard library alone: ``dependencies = []``,
 and each of its modules, and each test module, uses every name it imports.
 Every class, function and module-level name that the package defines is
-named somewhere else, and no module edits a contact."""
+named somewhere else, and no module edits a contact. The package root binds
+no names, and a node command never loads the simulator."""
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -59,15 +62,31 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_every_module_uses_what_it_imports():
-    """The package's modules and the tests, conftest included. The package's
-    __init__ is exempt: its imports are the package's exports."""
-    paths = [path for path in sorted((ROOT / "src" / "dhtvote").glob("*.py"))
-             if path.name != "__init__.py"]
+    """The package's modules and the tests, conftest included."""
+    paths = sorted((ROOT / "src" / "dhtvote").glob("*.py"))
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert paths and ROOT / "tests" / "conftest.py" in tests
     paths += tests
     assert ({str(path.relative_to(ROOT)): unused_imports(path) for path in paths}
             == {str(path.relative_to(ROOT)): [] for path in paths})
+
+
+def test_package_root_is_only_its_docstring():
+    """The modules are the API: ``import dhtvote`` imports and binds nothing."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+def test_node_commands_never_load_the_simulator():
+    """``run``, ``vote`` and ``get`` need only dhtvote.cli and dhtvote.udp,
+    and those load neither the simulator nor ``statistics``, which only the
+    simulator uses. A fresh interpreter sees what an import really loads."""
+    code = ("import sys, dhtvote.cli, dhtvote.udp; "
+            "print(sorted({'dhtvote.sim', 'statistics'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def references(tree: ast.AST) -> Counter:
