@@ -2,12 +2,12 @@
 
 The node core is transport-agnostic. A transport only has to provide
 ``request(address, data, kind) -> reply bytes or None``: one blocking
-attempt, sending the datagram once and waiting up to its timeout. The node
-decides whether to resend; both the real UDP transport and the simulator's
-virtual network satisfy that. The clock is injectable for the same reason:
-the store's 24-hour window, token rotation, and announce scheduling must all
-be testable without waiting on wall time. No two of the node's pending
-requests hold the same transaction id.
+attempt, sending the datagram once and waiting up to its timeout (on Linux,
+not at all for a closed UDP port). The node decides whether to resend; the
+UDP transport and the simulator's virtual network both satisfy that. The
+clock is injectable for the same reason: the store's 24-hour window, token
+rotation, and announce scheduling must be testable without waiting on wall
+time. No two of the node's pending requests hold the same transaction id.
 
 Incoming votes are always recorded against the observed UDP source IP,
 never anything claimed in the message; the get_votes/announce_vote token
@@ -61,7 +61,7 @@ Clock = Callable[[], float]
 
 class Transport(Protocol):
     def request(self, address: Address, data: bytes, kind: str) -> bytes | None:
-        """Send data once; the reply's bytes, or None if none came in time."""
+        """Send data once; the reply's bytes, or None if none came in time or the port is closed."""
 
 
 @dataclass

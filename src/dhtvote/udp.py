@@ -1,21 +1,30 @@
 """Real UDP transport and the long-running node wrapper.
 
-A request sends its datagram once and waits up to the timeout; the node
-decides whether to resend. One receive thread demultiplexes the socket:
-inbound queries go to the node's ``handle_datagram``, as in the simulator,
-and each inbound response or error goes to the request pending on its
-source address and transaction id. The transport keys each pending request
-by that (address, tid) pair, so a request names its peer by IP, not host
-name; the node keeps its tids unique. It takes no lock but the routing
-table's, so neither a lookup nor a journal sync delays an answer. A round
+A request sends its datagram once and waits up to the timeout, or on Linux
+until the kernel reports the peer's port closed; the node decides whether to
+resend. One receive thread demultiplexes the socket: inbound queries go to
+the node's ``handle_datagram``, as in the simulator, and each inbound
+response or error goes to the request pending on its source address and
+transaction id. The transport keys each pending request by that (address,
+tid) pair, so a request names its peer by IP, not host name; the node keeps
+its tids unique. Its only locks are the routing table's and one held across
+a send, so neither a lookup nor a journal sync delays an answer. A round
 announces up to ``alpha`` votes at once, and rounds may overlap.
+
+With ``IP_RECVERR`` set, draining the error queue ends the request pending on
+the address and tid that an ICMP port unreachable quotes. The kernel checks
+only the quoted addresses and ports: a forger must also guess a live 2-byte
+tid, and at worst silences one id for ``SILENT_SECONDS``, as lost replies can.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import logging
 import queue
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +44,12 @@ class UdpTransport:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(bind)
         self._sock.settimeout(0.2)
+        self._errors: socket.socket | None = None  # reads the error queue, without waiting
+        if sys.platform == "linux":
+            self._sock.setsockopt(socket.IPPROTO_IP, 11, 1)  # IP_RECVERR, unnamed in Python 3.11
+            self._errors = self._sock.dup()
+            self._errors.setblocking(False)
+        self._send_lock = threading.Lock()
         self._pending: dict[tuple[Address, bytes], queue.SimpleQueue] = {}
         self._running = False
         self._thread: threading.Thread | None = None
@@ -55,17 +70,19 @@ class UdpTransport:
             # its 0.2 s poll is only the fallback should the wake-up be lost.
             host, port = self.local_address
             try:
-                self._sock.sendto(b"", ("127.0.0.1" if host == "0.0.0.0" else host, port))
+                self._send(b"", ("127.0.0.1" if host == "0.0.0.0" else host, port))
             except OSError:
                 pass
             self._thread.join(timeout=2.0)
         self._sock.close()
+        if self._errors is not None:
+            self._errors.close()
 
     def request(self, address: Address, data: bytes, kind: str) -> bytes | None:
         key = (address, krpc.decode_message(data).tid)
         self._pending[key] = replies = queue.SimpleQueue()
         try:
-            self._sock.sendto(data, address)
+            self._send(data, address)
             return replies.get(timeout=self.timeout)
         except (queue.Empty, OSError):
             return None
@@ -78,9 +95,40 @@ class UdpTransport:
                 data, source = self._sock.recvfrom(krpc.MAX_DATAGRAM)
             except socket.timeout:
                 continue
-            except OSError:
-                break
+            except OSError:  # an ICMP error on Linux; elsewhere, or once stopped, a closed socket
+                if self._errors is None:
+                    break
+                self._drain_errors()
+                continue
             self._dispatch(data, source)
+
+    def _send(self, data: bytes, address: Address) -> int:
+        """sendto, tried up to 3 times: a pending ICMP error fails any send and
+        is then not seen by the receive thread, so each failure drains it. The
+        lock keeps other sends, and on loopback their errors, out of the gaps."""
+        with self._send_lock:
+            for last in (False, False, True):
+                try:
+                    return self._sock.sendto(data, address)
+                except OSError:
+                    if self._errors is not None:
+                        self._drain_errors()
+                    if last or self._errors is None:
+                        raise
+
+    def _drain_errors(self) -> None:
+        """Empty the error queue; a port unreachable ends the request its quote names."""
+        while True:
+            try:
+                quote, ancdata, _, address = self._errors.recvmsg(
+                    krpc.MAX_DATAGRAM, 512, socket.MSG_ERRQUEUE)
+            except OSError:  # empty, or closed by stop()
+                return
+            # one sock_extended_err per entry; its first field is ee_errno
+            if any(int.from_bytes(e[:4], sys.byteorder) == errno.ECONNREFUSED for *_, e in ancdata):
+                # a quote cut short does not decode, and its request may have ended
+                with contextlib.suppress(KeyError, ValueError, krpc.ProtocolError):
+                    self._pending[address, krpc.decode_message(quote).tid].put(None)
 
     def _dispatch(self, data: bytes, source: Address) -> None:
         try:
@@ -95,7 +143,7 @@ class UdpTransport:
                 return
             if reply is not None:
                 try:
-                    self._sock.sendto(reply, source)
+                    self._send(reply, source)
                 except OSError:
                     pass
         else:
@@ -160,6 +208,8 @@ class UdpNodeRunner:
         while not self._stop.is_set():
             started = time.time()
             try:
+                if len(self.node.routing) == 0:  # not joined: the bootstrap node may be up by now
+                    self.node.bootstrap()
                 report = self.announce_round()
             except Exception:
                 log.exception("announce round failed")

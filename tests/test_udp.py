@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import os
 import random
 import selectors
 import socket
 import statistics
+import sys
 import threading
 import time
+import warnings
 from hashlib import sha1
 
 import pytest
@@ -657,3 +660,294 @@ def test_handler_exception_leaves_the_receive_thread_answering(monkeypatch, capl
     assert first is None
     assert second is not None and second.values[b"id"] == target.node.node_id
     assert "datagram handler failed" in caplog.text
+
+
+def closed_port() -> tuple[str, int]:
+    """A loopback address that nothing listens on: the kernel answers a
+    datagram to it with ICMP port unreachable."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    address = sock.getsockname()
+    sock.close()
+    return address
+
+
+def ping_query(tid: bytes) -> bytes:
+    return krpc.encode_message(krpc.Query(tid, "ping", {b"id": b"\x02" * 20}))
+
+
+def test_a_request_to_a_closed_port_ends_at_once():
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0)
+    transport.start()
+    try:
+        started = time.perf_counter()
+        reply = transport.request(closed_port(), ping_query(b"aa"), "ping")
+        seconds = time.perf_counter() - started
+    finally:
+        transport.stop()
+    assert reply is None
+    assert seconds < 0.5
+
+
+def test_a_fetch_does_not_wait_on_a_stopped_runner():
+    """A lookup seeded with a runner that has stopped ends well under one
+    timeout, though each query may try 3 times, and marks the stopped
+    runner's id silent, as a timeout would."""
+    servers = []
+    client = None
+    try:
+        for _ in range(3):
+            bootstrap = [servers[0].local_address] if servers else []
+            servers.append(UdpNodeRunner(client_config(bootstrap)))
+            servers[-1].start()
+        config = client_config([servers[0].local_address], timeout=1.0)
+        client = UdpNodeRunner(dataclasses.replace(config, query_retries=2))
+        client.start()
+        stopped = servers[-1]
+        stopped.stop()
+        seeds = {contact.id for contact in client.node.routing.closest(b"\x07" * 20)}
+        started = time.perf_counter()
+        result = client.fetch_votes(b"\x07" * 20)
+        seconds = time.perf_counter() - started
+    finally:
+        for runner in servers + [client]:
+            if runner is not None:
+                runner.stop()
+    assert stopped.node.node_id in seeds
+    assert result.responders == 2
+    assert seconds < client.config.query_timeout / 4
+    assert stopped.node.node_id in client.node._silent
+
+
+def test_port_unreachables_leave_the_receive_thread_idle_and_answering():
+    """50 port unreachables each end a request at once. The receive thread
+    then neither spins on an undrained error queue nor stops reading."""
+    target = UdpNodeRunner(client_config([], timeout=1.0))
+    pinger = UdpNodeRunner(client_config([], timeout=0.5))
+    dead = closed_port()
+    try:
+        target.start()
+        pinger.start()
+        started = time.perf_counter()
+        failed = [target.transport.request(dead, ping_query(bytes([0, i])), "ping")
+                  for i in range(50)]
+        seconds = time.perf_counter() - started
+        cpu = time.process_time()
+        time.sleep(0.5)
+        idle_cpu = time.process_time() - cpu
+        reply = ping(pinger, target.local_address)
+        assert target.transport._thread.is_alive()
+    finally:
+        pinger.stop()
+        target.stop()
+    assert failed == [None] * 50
+    assert seconds < target.config.query_timeout
+    assert idle_cpu < 0.05
+    assert reply is not None and reply.values[b"id"] == target.node.node_id
+
+
+def test_a_pending_error_fails_neither_a_request_nor_a_reply(monkeypatch):
+    """A pending ICMP error fails the socket's next send, whatever its
+    destination: the send of a request and that of a reply each drain the
+    error queue and send again. Each send below meets such an error."""
+    dead = closed_port()
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    handle_datagram = VoteNode.handle_datagram
+
+    def erring_first(self, data, source):
+        self.transport._sock.sendto(b"", dead)
+        return handle_datagram(self, data, source)
+
+    monkeypatch.setattr(VoteNode, "handle_datagram", erring_first)
+    runner = UdpNodeRunner(client_config([], timeout=2.0))
+    replies = []
+    request = threading.Thread(target=lambda: replies.append(
+        runner.transport.request(peer.getsockname(), ping_query(b"rq"), "ping")))
+    try:
+        runner.transport._sock.sendto(b"", dead)  # left pending before start()
+        request.start()
+        sent, source = peer.recvfrom(2048)
+        runner.start()
+        peer.sendto(krpc.encode_message(krpc.Response(b"rq", {b"id": b"\x02" * 20})), source)
+        request.join(timeout=2.0)
+        assert not request.is_alive()
+        peer.sendto(ping_query(b"in"), source)
+        answer = krpc.decode_message(peer.recvfrom(2048)[0])
+    finally:
+        runner.stop()
+        peer.close()
+    assert sent == ping_query(b"rq")
+    [reply] = replies
+    assert reply is not None and krpc.decode_message(reply).tid == b"rq"
+    assert answer.tid == b"in" and answer.values == {b"id": runner.node.node_id}
+
+
+def test_an_error_landing_between_drain_and_resend_is_drained_too(monkeypatch):
+    """An ICMP error that lands after a failed send drained the error queue
+    fails the send's next try, which drains the queue again. The datagram
+    still goes out after one such error; after three failed tries the send
+    raises, but leaves nothing on the queue: the receive thread stays idle,
+    and a request to a closed port still ends at once."""
+    dead = closed_port()
+    drain_errors = UdpTransport._drain_errors
+    landings = [1]
+
+    def landing(self):
+        drain_errors(self)
+        if landings[0]:
+            landings[0] -= 1
+            self._sock.sendto(b"", dead)  # on loopback its error lands before this returns
+
+    monkeypatch.setattr(UdpTransport, "_drain_errors", landing)
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0)
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    try:
+        transport._sock.sendto(b"", dead)  # left pending: the next send fails
+        transport._send(ping_query(b"rq"), peer.getsockname())
+        sent = peer.recvfrom(2048)[0]
+        transport._sock.sendto(b"", dead)
+        landings[0] = 2  # each of the 3 tries fails
+        with pytest.raises(ConnectionRefusedError):
+            transport._send(ping_query(b"lo"), peer.getsockname())
+        transport.start()
+        cpu = time.process_time()
+        time.sleep(0.5)
+        idle_cpu = time.process_time() - cpu
+        started = time.perf_counter()
+        reply = transport.request(dead, ping_query(b"cp"), "ping")
+        seconds = time.perf_counter() - started
+    finally:
+        transport.stop()
+        peer.close()
+    assert sent == ping_query(b"rq") and landings == [0]
+    assert idle_cpu < 0.05
+    assert reply is None and seconds < 0.5
+
+
+def test_a_port_unreachable_ends_only_the_request_whose_tid_it_quotes():
+    """Anyone may forge an ICMP port unreachable for a peer's address; one
+    that quotes another tid leaves the pending request waiting, and one
+    that quotes its tid ends it."""
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0)
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    address = peer.getsockname()
+    outcomes = []
+
+    def pending():
+        started = time.perf_counter()
+        reply = transport.request(address, ping_query(b"rq"), "ping")
+        outcomes.append((reply, time.perf_counter() - started))
+
+    request = threading.Thread(target=pending)
+    try:
+        transport.start()
+        request.start()
+        peer.recvfrom(2048)  # the request is pending on a port about to close
+        peer.close()
+        transport._send(ping_query(b"xx"), address)
+        time.sleep(0.3)
+        waiting = request.is_alive()
+        transport._send(ping_query(b"rq"), address)
+        request.join(timeout=2.0)
+    finally:
+        transport.stop()
+    assert waiting
+    [(reply, seconds)] = outcomes
+    assert reply is None and seconds < transport.timeout / 2
+
+
+def test_threads_requesting_closed_and_live_ports_get_what_each_deserves():
+    """8 threads alternate requests to a closed port and to a live node,
+    with a short switch interval: every live request is answered, and
+    every closed one ends well under the timeout, though errors of other
+    threads' requests keep failing sends."""
+    live = UdpNodeRunner(client_config([]))
+    transport = UdpTransport(("127.0.0.1", 0), timeout=2.0)
+    dead = closed_port()
+    outcomes = []
+
+    def alternate(n: int) -> None:
+        for i in range(50):
+            for address in (dead, live.local_address):
+                started = time.perf_counter()
+                reply = transport.request(address, ping_query(bytes([n, i])), "ping")
+                outcomes.append((address, reply, time.perf_counter() - started))
+
+    threads = [threading.Thread(target=alternate, args=(n,)) for n in range(8)]
+    switch_interval = sys.getswitchinterval()
+    try:
+        live.start()
+        transport.start()
+        sys.setswitchinterval(1e-5)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        transport.stop()
+        live.stop()
+    assert len(outcomes) == 8 * 50 * 2
+    for address, reply, seconds in outcomes:
+        if address == dead:
+            assert reply is None and seconds < transport.timeout / 4
+        else:
+            assert reply is not None
+            assert krpc.decode_message(reply).values == {b"id": live.node.node_id}
+
+
+def test_transports_leave_no_handle_open(tmp_path, monkeypatch):
+    """stop() closes every handle a transport opened, the error queue's
+    included, whether or not the transport started; so does a runner whose
+    node cannot open its state dir."""
+    leaked = []
+    monkeypatch.setattr(sys, "unraisablehook", leaked.append)
+    state = tmp_path / "state"
+    state.write_text("")  # a file, not a directory
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for start in (True, False):
+            transport = UdpTransport(("127.0.0.1", 0))
+            if start:
+                transport.start()
+            transport.stop()
+        with pytest.raises(OSError):
+            UdpNodeRunner(dataclasses.replace(client_config([]), state_dir=str(state)))
+        del transport
+        gc.collect()
+    assert leaked == []
+
+
+def test_a_node_started_before_its_bootstrap_node_joins_it():
+    """ROADMAP item 24's gate: a node with no votes whose bootstrap node
+    is not up yet joins it within 2 announce periods of its coming up.
+    Until it starts, the bootstrap node's socket is bound but unread, so
+    each query to it times out. Once started it only answers: a query of
+    its own would join the early node to it."""
+    late = UdpNodeRunner(client_config([]))
+    early = UdpNodeRunner(
+        dataclasses.replace(client_config([late.local_address]), announce_period=0.3))
+    thread = threading.Thread(target=early.run_forever)
+    try:
+        early.start()
+        thread.start()
+        time.sleep(early.config.announce_period)
+        late.transport.start()
+        deadline = time.monotonic() + 2 * early.config.announce_period
+        while time.monotonic() < deadline and not (early.node.routing and late.node.routing):
+            time.sleep(0.01)
+        tables = [contact.id for contact in early.node.routing.closest(late.node.node_id)]
+        tables += [contact.id for contact in late.node.routing.closest(early.node.node_id)]
+    finally:
+        early.stop()
+        thread.join(timeout=2.0)
+        late.stop()
+    assert not thread.is_alive()
+    assert tables == [late.node.node_id, early.node.node_id]
